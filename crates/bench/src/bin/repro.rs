@@ -23,8 +23,8 @@
 //! width at 10 k and 100 k total rows, which must cost the same at both
 //! scales — plus the concurrent-ingest ladder: the same fixed row batch
 //! split over 1/2/4 writer threads, auto-commit and explicit
-//! BEGIN…COMMIT variants, which rides the sharded version storage and
-//! group commit) and writes per-bench robust medians
+//! BEGIN…COMMIT variants, which rides the sharded version storage) and
+//! writes per-bench robust medians
 //! (`{"median_ns": …, "mad_ns": …}`, see `criterion::stats`) to
 //! `BENCH_PR10.json` so the performance trajectory accumulates across
 //! PRs.
@@ -287,8 +287,8 @@ fn run_bench_json(path: &str) {
             db.execute("DELETE FROM scratch").unwrap();
         })),
     );
-    // INSERT … SELECT streams its source through the cursor (the source
-    // scan is zero-copy and column-pruned).
+    // INSERT … SELECT drains its source in one zero-copy, column-pruned
+    // pass, then appends the batch.
     let copy_in = db
         .prepare("INSERT INTO scratch SELECT ts, x, u FROM m")
         .unwrap();
@@ -405,8 +405,8 @@ fn run_bench_json(path: &str) {
         push("sql_concurrent_ingest_2writers", bench_ingest(2, false));
         push("sql_concurrent_ingest_4writers", bench_ingest(4, false));
         // Explicit transactional writers: BEGIN … COMMIT around each
-        // thread's batch, so the footer's txns_committed / group-commit
-        // counters reflect real transactional ingest. (The PR-9 file
+        // thread's batch, so the footer's txns_committed counter
+        // reflects real transactional ingest. (The PR-9 file
         // recorded txns_committed = 0 because every bench write
         // auto-committed — this variant is the fix.)
         push("sql_concurrent_ingest_txn_4writers", bench_ingest(4, true));
@@ -675,7 +675,7 @@ fn run_bench_json(path: &str) {
     let (index_scans, seq_scans, hash_joins, analyze_runs) = db.access_stats();
     let (batches_filled, vectorized_ops, vectorized_fallbacks) = db.vectorized_stats();
     let versions_gc = db.gc_stats();
-    let (shard_count, write_shard_waits, group_commits, group_commit_batched) = db.shard_stats();
+    let (shard_count, write_shard_waits) = db.shard_stats();
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -713,9 +713,7 @@ fn run_bench_json(path: &str) {
          \"txns_rolled_back\": {txns_rolled_back}, \
          \"versions_gc\": {versions_gc}, \
          \"shard_count\": {shard_count}, \
-         \"write_shard_waits\": {write_shard_waits}, \
-         \"group_commits\": {group_commits}, \
-         \"group_commit_batched\": {group_commit_batched}}}\n"
+         \"write_shard_waits\": {write_shard_waits}}}\n"
     ));
     json.push_str("}\n");
     std::fs::write(path, &json).unwrap();
@@ -794,8 +792,7 @@ fn run_bench_json(path: &str) {
          {batches_filled} batches filled / {vectorized_ops} vectorized ops / \
          {vectorized_fallbacks} vectorized fallbacks; \
          {versions_gc} dead row versions reclaimed by GC; \
-         {shard_count} table shard(s) / {write_shard_waits} shard write waits / \
-         {group_commits} group commits ({group_commit_batched} piggybacked)"
+         {shard_count} table shard(s) / {write_shard_waits} shard write waits"
     );
     println!("wrote {path}\n");
 }

@@ -40,7 +40,7 @@ use crate::functions::{self, ScalarFn, TableFn};
 use crate::parser;
 use crate::plan::{self, PhysicalPlan};
 use crate::stats::{self, TableStats};
-use crate::table::{self, QueryResult, Row, Snapshot, Table, UNCOMMITTED};
+use crate::table::{QueryResult, Row, Snapshot, Table, UNCOMMITTED};
 use crate::value::Value;
 
 /// Default bound on the number of cached prepared statements.
@@ -301,24 +301,20 @@ pub(crate) enum WriteTxn {
     Txn { txid: u64 },
 }
 
+impl WriteTxn {
+    /// The owning transaction id for unique-constraint checks (0 in
+    /// auto-commit: every pending version then counts as a conflict).
+    pub(crate) fn txid(self) -> u64 {
+        match self {
+            WriteTxn::Txn { txid } => txid,
+            WriteTxn::Auto => 0,
+        }
+    }
+}
+
 /// One table's pending stamps: the touched table plus the rids the
 /// transaction created and ended in it.
 type PendingStamps = (Arc<RwLock<Table>>, Vec<usize>, Vec<usize>);
-
-/// One transaction's stamp set, published to the group-commit queue: the
-/// leader that drains the queue stamps every request under one guard
-/// acquisition and hands each its commit timestamp through `done`.
-struct CommitReq {
-    /// Distinct touched tables (merged per table) with the rids the
-    /// transaction created and ended.
-    writes: Vec<PendingStamps>,
-    /// The committing transaction's id (its pending-stamp mark).
-    txid: u64,
-    /// Set to the commit timestamp once a leader has stamped this
-    /// request; the submitting thread waits on `cv` for it.
-    done: std::sync::Mutex<Option<u64>>,
-    cv: std::sync::Condvar,
-}
 
 /// An in-memory SQL database with UDF support.
 pub struct Database {
@@ -396,14 +392,6 @@ pub struct Database {
     /// Times a writer's home shard was contended and it had to block
     /// (the fast path is an uncontended `try_write`).
     write_shard_waits: AtomicU64,
-    /// Group-commit drain rounds, and how many requests rode along in a
-    /// round someone else led (`batched += round_size - 1`).
-    group_commits: AtomicU64,
-    group_commit_batched: AtomicU64,
-    /// Pending commit requests awaiting a leader, and the leader badge:
-    /// whoever `try_lock`s it drains the queue for everyone.
-    commit_queue: Mutex<Vec<Arc<CommitReq>>>,
-    commit_leader: Mutex<()>,
 }
 
 impl Default for Database {
@@ -481,10 +469,6 @@ impl Database {
             vectorized_fallbacks: AtomicU64::new(0),
             table_shards: shards.clamp(1, 64).next_power_of_two(),
             write_shard_waits: AtomicU64::new(0),
-            group_commits: AtomicU64::new(0),
-            group_commit_batched: AtomicU64::new(0),
-            commit_queue: Mutex::new(Vec::new()),
-            commit_leader: Mutex::new(()),
         };
         functions::register_builtin_scalars(&db);
         functions::register_builtin_table_fns(&db);
@@ -549,55 +533,65 @@ impl Database {
     }
 
     /// Bulk-insert rows through the coercion path (loader convenience).
-    /// Atomic: every row is validated before any is stored. Honors an
-    /// open transaction on the calling thread.
+    /// Atomic: every row is validated — coerced, and checked against the
+    /// table's unique indexes — before any is stored. Honors an open
+    /// transaction on the calling thread.
     pub fn insert_rows(&self, table: &str, rows: Vec<Row>) -> Result<usize> {
-        let handle = self.get_table(table)?;
+        self.append_rows(&self.get_table(table)?, rows, Ok)
+    }
+
+    /// Append one statement's rows: the single write path behind
+    /// `INSERT … VALUES`, `INSERT … SELECT` and [`Database::insert_rows`].
+    /// `map` shapes each row for the table (an INSERT column list) ahead
+    /// of coercion; every row is mapped and coerced before any is stored,
+    /// so an error leaves the table untouched.
+    ///
+    /// The batch lands in the calling thread's home shard under the
+    /// table's outer *read* guard, so writers with different home shards
+    /// proceed in parallel. The auto-commit stamp is allocated while the
+    /// shard lock is held, so a snapshot at or above it blocks on that
+    /// shard until every row is in — no torn statement. A table with a
+    /// unique index takes the exclusive write guard instead: the
+    /// duplicate check needs a stable view of every shard.
+    pub(crate) fn append_rows(
+        &self,
+        handle: &Arc<RwLock<Table>>,
+        rows: Vec<Row>,
+        map: impl Fn(Row) -> Result<Row>,
+    ) -> Result<usize> {
         let txn = self.write_txn();
         if let WriteTxn::Txn { .. } = txn {
-            self.txn_pin(&handle);
+            self.txn_pin(handle);
         }
-        if self.table_shards > 1 {
-            // Concurrent append: coerce under the shared table guard,
-            // then take only the calling thread's home-shard lock so
-            // disjoint-row writers proceed in parallel. The auto-commit
-            // stamp is allocated *while the shard lock is held*, so any
-            // snapshot at or above it blocks on this shard until every
-            // row of the statement is in — no torn statement.
-            let guard = handle.read();
-            let coerced: Result<Vec<Row>> = rows.into_iter().map(|r| guard.coerce_row(r)).collect();
-            let coerced = coerced?;
-            let n = coerced.len();
-            let mut append = guard.begin_append();
-            if append.waited() {
-                self.write_shard_waits.fetch_add(1, Ordering::Relaxed);
-            }
-            let stamp = match txn {
-                WriteTxn::Auto => self.commit_ts(),
-                WriteTxn::Txn { txid } => UNCOMMITTED | txid,
-            };
-            let created: Vec<usize> = coerced.into_iter().map(|r| append.push(stamp, r)).collect();
-            drop(append);
-            drop(guard);
-            if let WriteTxn::Txn { .. } = txn {
-                self.txn_record_write(&handle, created, Vec::new());
-            }
-            return Ok(n);
-        }
-        let mut guard = handle.write();
-        let coerced: Result<Vec<Row>> = rows.into_iter().map(|r| guard.coerce_row(r)).collect();
-        let coerced = coerced?;
-        let n = coerced.len();
-        let stamp = match txn {
-            WriteTxn::Auto => self.commit_ts(),
-            WriteTxn::Txn { txid } => UNCOMMITTED | txid,
+        let coerce = |t: &Table| -> Result<Vec<Row>> {
+            rows.into_iter()
+                .map(|r| map(r).and_then(|r| t.coerce_row(r)))
+                .collect()
         };
-        let created: Vec<usize> = coerced
-            .into_iter()
-            .map(|r| guard.push_version(stamp, r))
-            .collect();
+        let created: Vec<usize> = {
+            let guard = handle.read();
+            if guard.has_unique_index() {
+                drop(guard);
+                let mut guard = handle.write();
+                let rows = coerce(&guard)?;
+                guard.check_unique(&rows, &[], txn.txid())?;
+                let begin = self.write_stamp(txn);
+                rows.into_iter()
+                    .map(|r| guard.push_version(begin, r))
+                    .collect()
+            } else {
+                let rows = coerce(&guard)?;
+                let mut append = guard.begin_append();
+                if append.waited() {
+                    self.write_shard_waits.fetch_add(1, Ordering::Relaxed);
+                }
+                let begin = self.write_stamp(txn);
+                rows.into_iter().map(|r| append.push(begin, r)).collect()
+            }
+        };
+        let n = created.len();
         if let WriteTxn::Txn { .. } = txn {
-            self.txn_record_write(&handle, created, Vec::new());
+            self.txn_record_write(handle, created, Vec::new());
         }
         Ok(n)
     }
@@ -1064,6 +1058,17 @@ impl Database {
         self.clock.fetch_add(1, Ordering::SeqCst) + 1
     }
 
+    /// The begin/end stamp for one statement's versioned writes: a fresh
+    /// commit timestamp in auto-commit (so, as for [`Database::commit_ts`],
+    /// allocate it under the guards of the stamped versions), or the open
+    /// transaction's marker, resolved later by COMMIT/ROLLBACK.
+    pub(crate) fn write_stamp(&self, txn: WriteTxn) -> u64 {
+        match txn {
+            WriteTxn::Auto => self.commit_ts(),
+            WriteTxn::Txn { txid } => UNCOMMITTED | txid,
+        }
+    }
+
     /// True when nothing in the system can ever read below `cts`: no
     /// transaction has a snapshot pinned before it. Together with the
     /// written table being unpinned (no live cursors — checked by the
@@ -1081,11 +1086,8 @@ impl Database {
             .is_none_or(|&oldest| oldest >= cts)
     }
 
-    /// Allocate a transaction id. Auto-commit statements that stream
-    /// their source rows use one too: the rows go in uncommitted (marked
-    /// with the id) and are stamped — or tombstoned, on error — only when
-    /// the stream finishes, which is what makes the statement atomic.
-    pub(crate) fn next_txid(&self) -> u64 {
+    /// Allocate a transaction id for `BEGIN` (ids start at 1).
+    fn next_txid(&self) -> u64 {
         self.txid_gen.fetch_add(1, Ordering::SeqCst) + 1
     }
 
@@ -1238,9 +1240,9 @@ impl Database {
         }
         // A deterministic lock order prevents deadlock between commits.
         by_table.sort_by_key(|(h, _, _)| Arc::as_ptr(h) as usize);
-        if self.table_shards == 1 {
-            // Unsharded escape hatch: take every touched table's write
-            // guard and stamp directly, exactly the pre-sharding path.
+        // Scoped: the guards must drop before `finish_txn` read-locks the
+        // same tables to unpin them.
+        {
             let mut guards: Vec<_> = by_table.iter().map(|(h, _, _)| h.write()).collect();
             let cts = self.commit_ts();
             for (guard, (_, created, ended)) in guards.iter_mut().zip(&by_table) {
@@ -1251,109 +1253,10 @@ impl Database {
                     guard.commit_end(i, txn.txid, cts);
                 }
             }
-        } else if !by_table.is_empty() {
-            let req = Arc::new(CommitReq {
-                writes: by_table,
-                txid: txn.txid,
-                done: std::sync::Mutex::new(None),
-                cv: std::sync::Condvar::new(),
-            });
-            self.group_commit(req);
         }
         self.finish_txn(&txn);
         self.txns_committed.fetch_add(1, Ordering::Relaxed);
         Ok(true)
-    }
-
-    /// Publish a commit request to the group-commit queue and wait until
-    /// a leader has stamped it. Whoever grabs the leader badge drains the
-    /// whole queue; everyone else parks briefly and re-bids for
-    /// leadership on timeout, so a leader exiting between our enqueue and
-    /// its final empty-queue check cannot strand us.
-    fn group_commit(&self, req: Arc<CommitReq>) {
-        self.commit_queue.lock().push(Arc::clone(&req));
-        loop {
-            if let Some(_badge) = self.commit_leader.try_lock() {
-                self.drain_commits();
-            }
-            let done = req.done.lock().unwrap_or_else(|p| p.into_inner());
-            if done.is_some() {
-                return;
-            }
-            let (done, _) = req
-                .cv
-                .wait_timeout(done, std::time::Duration::from_millis(1))
-                .unwrap_or_else(|p| p.into_inner());
-            if done.is_some() {
-                return;
-            }
-        }
-    }
-
-    /// Leader side of group commit: repeatedly swap out the pending
-    /// queue and stamp a whole round under one guard acquisition — outer
-    /// read guards on the distinct tables (ptr-sorted), then the union
-    /// of touched shards per table (ascending). Each request still gets
-    /// its own commit timestamp (commit order = FIFO within the round);
-    /// the guards are released only after the entire round is stamped,
-    /// so no snapshot taken at or above a round's timestamps can see a
-    /// torn commit.
-    fn drain_commits(&self) {
-        loop {
-            let reqs = std::mem::take(&mut *self.commit_queue.lock());
-            if reqs.is_empty() {
-                return;
-            }
-            self.group_commits.fetch_add(1, Ordering::Relaxed);
-            self.group_commit_batched
-                .fetch_add(reqs.len() as u64 - 1, Ordering::Relaxed);
-            let mut tables: Vec<Arc<RwLock<Table>>> = Vec::new();
-            for r in &reqs {
-                for (h, _, _) in &r.writes {
-                    if !tables.iter().any(|t| Arc::ptr_eq(t, h)) {
-                        tables.push(Arc::clone(h));
-                    }
-                }
-            }
-            tables.sort_by_key(|h| Arc::as_ptr(h) as usize);
-            let table_of =
-                |h: &Arc<RwLock<Table>>| tables.iter().position(|t| Arc::ptr_eq(t, h)).unwrap();
-            let mut shard_sets: Vec<Vec<usize>> = vec![Vec::new(); tables.len()];
-            for r in &reqs {
-                for (h, created, ended) in &r.writes {
-                    let set = &mut shard_sets[table_of(h)];
-                    for &rid in created.iter().chain(ended) {
-                        let s = table::rid_shard(rid);
-                        if !set.contains(&s) {
-                            set.push(s);
-                        }
-                    }
-                }
-            }
-            for set in &mut shard_sets {
-                set.sort_unstable();
-            }
-            let outer: Vec<_> = tables.iter().map(|h| h.read()).collect();
-            let mut locks: Vec<_> = outer
-                .iter()
-                .zip(&shard_sets)
-                .map(|(g, set)| g.lock_shards(set))
-                .collect();
-            for r in &reqs {
-                let cts = self.commit_ts();
-                for (h, created, ended) in &r.writes {
-                    let locked = &mut locks[table_of(h)];
-                    for &rid in created {
-                        locked.commit_begin(rid, r.txid, cts);
-                    }
-                    for &rid in ended {
-                        locked.commit_end(rid, r.txid, cts);
-                    }
-                }
-                *r.done.lock().unwrap_or_else(|p| p.into_inner()) = Some(cts);
-                r.cv.notify_all();
-            }
-        }
     }
 
     /// `ROLLBACK`: discard this thread's pending writes. Returns `false`
@@ -1549,20 +1452,8 @@ impl Database {
         )
     }
 
-    /// Version shards per table in this database.
-    pub fn table_shards(&self) -> usize {
-        self.table_shards
-    }
-
-    /// Bump the contended-home-shard counter (a concurrent appender had
-    /// to block for its shard lock).
-    pub(crate) fn note_shard_wait(&self) {
-        self.write_shard_waits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// `(shard count, contended shard-lock acquisitions, group-commit
-    /// rounds, requests that rode along in someone else's round)` since
-    /// creation. Also queryable from SQL via `pgfmu_stats()`:
+    /// `(shard count, contended shard-lock acquisitions)` since creation.
+    /// Also queryable from SQL via `pgfmu_stats()`:
     ///
     /// ```
     /// use pgfmu_sqlmini::{Database, Value};
@@ -1577,12 +1468,10 @@ impl Database {
     /// assert_eq!(q.rows[0][0], Value::Int(8));
     /// assert_eq!(db.shard_stats().0, 8);
     /// ```
-    pub fn shard_stats(&self) -> (u64, u64, u64, u64) {
+    pub fn shard_stats(&self) -> (u64, u64) {
         (
             self.table_shards as u64,
             self.write_shard_waits.load(Ordering::Relaxed),
-            self.group_commits.load(Ordering::Relaxed),
-            self.group_commit_batched.load(Ordering::Relaxed),
         )
     }
 
@@ -2563,9 +2452,9 @@ mod tests {
     }
 
     #[test]
-    fn streamed_insert_select_is_atomic_on_error() {
-        // A lazy INSERT … SELECT source errors mid-stream: the rows
-        // already appended are tombstoned, not left behind.
+    fn insert_select_is_atomic_on_error() {
+        // The INSERT … SELECT source errors part-way through its rows:
+        // nothing is appended, not even the rows produced before it.
         let db = Database::new();
         db.execute("CREATE TABLE t (v int)").unwrap();
         db.execute("INSERT INTO t VALUES (1), (2), (3)").unwrap();

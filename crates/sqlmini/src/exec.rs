@@ -17,15 +17,16 @@
 //! times it appears across the select list, `HAVING` and `ORDER BY`; the
 //! lowered output expressions just read the memoized values.
 //!
-//! `INSERT … SELECT` consumes its source through the streaming cursor and
-//! inserts row by row, so the intermediate result is never materialized;
-//! the new rows stay uncommitted (marked with a transaction id) until the
-//! stream finishes, so an error mid-stream leaves nothing behind.
+//! Every INSERT ends in the table's one append path
+//! (`Database::append_rows`). `INSERT … SELECT` drains its source into a
+//! batch first, so an error anywhere in the source leaves nothing behind.
 //!
-//! Writes are versioned: DML never overwrites a row in place — UPDATE and
-//! DELETE end the visible version and (for UPDATE) append a successor,
-//! stamped either with a fresh commit timestamp (auto-commit) or with the
-//! open transaction's id, to be resolved at `COMMIT`/`ROLLBACK`.
+//! Writes are versioned: UPDATE and DELETE end the visible version and
+//! (for UPDATE) append a successor, stamped either with a fresh commit
+//! timestamp (auto-commit) or with the open transaction's id, to be
+//! resolved at `COMMIT`/`ROLLBACK`. The exception is the auto-commit
+//! single-version fast path: when no snapshot or cursor can still read
+//! the old version, UPDATE overwrites it in place and DELETE removes it.
 
 use std::cmp::Ordering;
 use std::collections::{hash_map::Entry, HashMap, HashSet, VecDeque};
@@ -1611,11 +1612,6 @@ fn probe_access(
     Ok(view.probe(ordinal, a.space, lo.as_ref(), hi.as_ref()))
 }
 
-/// Execute a static SELECT plan. `lazy` allows the plain zero-copy path
-/// to return an [`MvccScan`] cursor that streams the plan's snapshot in
-/// batches; internal consumers that insert per source row (`INSERT …
-/// SELECT`) pass `false` and get the output materialized up front
-/// instead, so nothing interleaves with their writes.
 /// The slots a zero-scan statement's batch must fill: every slot any of
 /// `exprs` reads, deduplicated.
 fn batch_slots<'e>(exprs: impl Iterator<Item = &'e Expr>) -> Vec<usize> {
@@ -1724,11 +1720,13 @@ fn vec_ordered(
     Ok(out)
 }
 
+/// Execute a static SELECT plan. The plain zero-copy shape returns an
+/// [`MvccScan`] cursor that streams the plan's snapshot in batches;
+/// every other shape is materialized before it returns.
 fn run_static_select<'db>(
     db: &'db Database,
     plan: &Arc<PhysicalPlan>,
     params: &[Value],
-    lazy: bool,
 ) -> Result<Rows<'db>> {
     let PhysicalPlan::StaticSelect(sp) = &**plan else {
         unreachable!("run_static_select takes a static SELECT plan");
@@ -1878,7 +1876,7 @@ fn run_static_select<'db>(
                     // (see `MvccScan::drop`); only the strategy is
                     // recorded here.
                     db.note_scan(0, true);
-                    let cursor = Rows {
+                    return Ok(Rows {
                         columns: sp.ops.columns.clone(),
                         state: RowsState::Mvcc(Box::new(MvccScan {
                             db,
@@ -1899,11 +1897,7 @@ fn run_static_select<'db>(
                             pending_err: None,
                             done: false,
                         })),
-                    };
-                    if lazy {
-                        return Ok(cursor);
-                    }
-                    return cursor.into_result().map(Rows::from_result);
+                    });
                 }
                 // Sort keys and projections evaluate per surviving row;
                 // the sort (and DISTINCT + LIMIT) runs on those pruned
@@ -2068,68 +2062,13 @@ impl Drop for TablePin<'_> {
     }
 }
 
-/// The begin/end stamp for one statement's versioned writes: a fresh
-/// commit timestamp in auto-commit (allocate it while holding the write
-/// guard — see [`Database::commit_ts`]), or the open transaction's
-/// marker, resolved later by COMMIT/ROLLBACK.
-fn write_stamp(db: &Database, txn: WriteTxn) -> u64 {
-    match txn {
-        WriteTxn::Auto => db.commit_ts(),
-        WriteTxn::Txn { txid } => UNCOMMITTED | txid,
-    }
-}
-
-/// The owning transaction id for unique-constraint checks (0 in
-/// auto-commit: every pending version then counts as a conflict).
-fn stmt_txid(txn: WriteTxn) -> u64 {
-    match txn {
-        WriteTxn::Txn { txid } => txid,
-        WriteTxn::Auto => 0,
-    }
-}
-
-/// Concurrent-append fast path for INSERT on a sharded table: under the
-/// outer *read* guard, coerce every row, then take only the calling
-/// thread's home-shard write lock — disjoint-row writers proceed in
-/// parallel. The auto-commit stamp is allocated while the shard lock is
-/// held, so a snapshot at or above it blocks on this one shard until
-/// every row of the statement is in (no torn statement). Returns `false`
-/// — with `rows` untouched — when the table needs the exclusive path
-/// instead: single-shard databases, or unique indexes (whose conflict
-/// checks need a stable view of every shard).
-fn concurrent_insert(
-    db: &Database,
-    handle: &Arc<parking_lot::RwLock<Table>>,
-    ip: &InsertPlan,
-    txn: WriteTxn,
-    rows: &mut Vec<Row>,
-) -> Result<bool> {
-    if db.table_shards() == 1 {
-        return Ok(false);
-    }
-    let guard = handle.read();
-    if guard.has_unique_index() {
-        return Ok(false);
-    }
-    let coerced: Result<Vec<Row>> = std::mem::take(rows)
-        .into_iter()
-        .map(|r| map_insert_row(r, ip).and_then(|r| guard.coerce_row(r)))
-        .collect();
-    let coerced = coerced?;
-    let mut append = guard.begin_append();
-    if append.waited() {
-        db.note_shard_wait();
-    }
-    let begin = write_stamp(db, txn);
-    let created: Vec<usize> = coerced.into_iter().map(|r| append.push(begin, r)).collect();
-    drop(append);
-    drop(guard);
-    if let WriteTxn::Txn { .. } = txn {
-        db.txn_record_write(handle, created, Vec::new());
-    }
-    Ok(true)
-}
-
+/// INSERT: evaluate every source row, then hand the batch to the table's
+/// one append path ([`Database::append_rows`]). Evaluation holds no table
+/// lock, since VALUES expressions and SELECT UDFs may re-enter the
+/// database; only a zero-copy SELECT source, whose expressions cannot,
+/// drains in one bulk pass under its read guard. Draining first means
+/// `INSERT INTO t SELECT … FROM t` sees only the pre-statement rows, and
+/// a source error leaves the table untouched.
 fn run_insert<'db>(
     db: &'db Database,
     stmt: &Stmt,
@@ -2148,11 +2087,7 @@ fn run_insert<'db>(
     if !schema_matches(&handle.read().schema, &ip.schema_cols) {
         return Err(stale_plan(&ip.table));
     }
-    let txn = db.write_txn();
-    if let WriteTxn::Txn { .. } = txn {
-        db.txn_pin(&handle);
-    }
-    let n = match source {
+    let rows = match source {
         InsertSource::Values(rows) => {
             let ctx = Ctx {
                 db,
@@ -2163,159 +2098,24 @@ fn run_insert<'db>(
             let env = Env {
                 bindings: NO_BINDINGS,
             };
-            // Evaluate before taking the guard: VALUES expressions may
-            // call UDFs that re-enter the database.
-            let mut out = Vec::with_capacity(rows.len());
-            for row in rows {
-                let vals: Result<Row> = row.iter().map(|e| eval(&ctx, e, &env, &[])).collect();
-                out.push(vals?);
-            }
-            let n = out.len();
-            if !concurrent_insert(db, &handle, ip, txn, &mut out)? {
-                let mut guard = handle.write();
-                let begin = write_stamp(db, txn);
-                // Coerce every row before appending any, so an arity or
-                // type error (or a duplicate, when a unique index exists)
-                // leaves the table untouched.
-                let coerced: Result<Vec<Row>> = out
-                    .into_iter()
-                    .map(|r| map_insert_row(r, ip).and_then(|r| guard.coerce_row(r)))
-                    .collect();
-                let coerced = coerced?;
-                if guard.has_unique_index() {
-                    guard.check_unique(&coerced, &[], stmt_txid(txn))?;
-                }
-                let created: Vec<usize> = coerced
-                    .into_iter()
-                    .map(|r| guard.push_version(begin, r))
-                    .collect();
-                if let WriteTxn::Txn { .. } = txn {
-                    drop(guard);
-                    db.txn_record_write(&handle, created, Vec::new());
-                }
-            }
-            n
+            rows.iter()
+                .map(|row| row.iter().map(|e| eval(&ctx, e, &env, &[])).collect())
+                .collect::<Result<Vec<Row>>>()?
         }
         InsertSource::Select(sel) => {
-            // The source runs with `lazy = false`, so a zero-copy static
-            // source arrives fully materialized before any insert — which
-            // is why INSERT INTO t SELECT FROM t observes only the
-            // pre-statement rows — while snapshot/dynamic sources stream
-            // lazily off their guard-free input copy.
             let src_plan = ip
                 .source
                 .as_ref()
                 .expect("INSERT … SELECT has a source plan");
             let src = match &**src_plan {
-                PhysicalPlan::StaticSelect(_) => run_static_select(db, src_plan, params, false)?,
+                PhysicalPlan::StaticSelect(_) => run_static_select(db, src_plan, params)?,
                 PhysicalPlan::DynamicSelect => run_dynamic_select(db, sel, params)?,
                 _ => unreachable!("INSERT source compiles to a SELECT plan"),
             };
-            let mut n = 0usize;
-            match src.state {
-                // Fully materialized source: nothing is evaluated per
-                // row anymore, so one write guard covers the whole batch
-                // instead of a lock round-trip per row. Coercion and
-                // append run in one pass; an error truncates the
-                // appended tail, leaving the table untouched.
-                RowsState::Done(it) => {
-                    let mut rows: Vec<Row> = it.collect();
-                    n = rows.len();
-                    if !concurrent_insert(db, &handle, ip, txn, &mut rows)? {
-                        let mut guard = handle.write();
-                        let begin = write_stamp(db, txn);
-                        let coerced: Result<Vec<Row>> = rows
-                            .into_iter()
-                            .map(|r| map_insert_row(r, ip).and_then(|r| guard.coerce_row(r)))
-                            .collect();
-                        let coerced = coerced?;
-                        if guard.has_unique_index() {
-                            guard.check_unique(&coerced, &[], stmt_txid(txn))?;
-                        }
-                        let created: Vec<usize> = coerced
-                            .into_iter()
-                            .map(|r| guard.push_version(begin, r))
-                            .collect();
-                        if let WriteTxn::Txn { .. } = txn {
-                            drop(guard);
-                            db.txn_record_write(&handle, created, Vec::new());
-                        }
-                    }
-                }
-                // Lazy sources still evaluate expressions (possibly
-                // re-entrant UDFs) per row: the write lock stays scoped
-                // to each append so those evaluations run lock-free. The
-                // appends are marked uncommitted under a transaction id
-                // and stamped only when the stream finishes — an error
-                // mid-stream tombstones what was inserted, so the
-                // statement is atomic despite releasing the lock.
-                state => {
-                    let src = Rows {
-                        columns: src.columns,
-                        state,
-                    };
-                    let _pin = match txn {
-                        // Version indices survive guard releases only
-                        // while the table is pinned against compaction.
-                        WriteTxn::Auto => Some(TablePin::new(&handle)),
-                        WriteTxn::Txn { .. } => None, // pinned via the txn
-                    };
-                    let txid = match txn {
-                        WriteTxn::Txn { txid } => txid,
-                        WriteTxn::Auto => db.next_txid(),
-                    };
-                    let mut created: Vec<usize> = Vec::new();
-                    let mut err = None;
-                    for r in src {
-                        let step = r.and_then(|row| map_insert_row(row, ip)).and_then(|full| {
-                            let mut guard = handle.write();
-                            let full = guard.coerce_row(full)?;
-                            // Streamed rows check one by one: earlier
-                            // appends of this statement are pending under
-                            // the same txid, so in-stream duplicates
-                            // conflict exactly like committed ones.
-                            if guard.has_unique_index() {
-                                guard.check_unique(std::slice::from_ref(&full), &[], txid)?;
-                            }
-                            created.push(guard.push_version(UNCOMMITTED | txid, full));
-                            Ok(())
-                        });
-                        match step {
-                            Ok(()) => n += 1,
-                            Err(e) => {
-                                err = Some(e);
-                                break;
-                            }
-                        }
-                    }
-                    match (err, txn) {
-                        (Some(e), _) => {
-                            // Undo this statement's own appends; under an
-                            // explicit transaction they were never
-                            // recorded in the undo log, so no double
-                            // revert on ROLLBACK.
-                            let mut guard = handle.write();
-                            for &i in &created {
-                                guard.revert_insert(i, txid);
-                            }
-                            return Err(e);
-                        }
-                        (None, WriteTxn::Auto) => {
-                            let mut guard = handle.write();
-                            let cts = db.commit_ts();
-                            for &i in &created {
-                                guard.commit_begin(i, txid, cts);
-                            }
-                        }
-                        (None, WriteTxn::Txn { .. }) => {
-                            db.txn_record_write(&handle, created, Vec::new());
-                        }
-                    }
-                }
-            }
-            n
+            src.into_result()?.rows
         }
     };
+    let n = db.append_rows(&handle, rows, |r| map_insert_row(r, ip))?;
     Ok(count_result(n as i64))
 }
 
@@ -2394,7 +2194,7 @@ fn run_update<'db>(db: &'db Database, up: &DmlPlan, params: &[Value]) -> Result<
                     r
                 })
                 .collect();
-            guard.check_unique(&new_rows, &superseded, stmt_txid(txn))?;
+            guard.check_unique(&new_rows, &superseded, txn.txid())?;
         }
         // Pass 2: end each hit version and append its successor — or,
         // when no snapshot below the fresh commit timestamp is live and
@@ -2489,9 +2289,9 @@ fn run_update<'db>(db: &'db Database, up: &DmlPlan, params: &[Value]) -> Result<
     if guard.has_unique_index() && !pending.is_empty() {
         let superseded: Vec<usize> = pending.iter().map(|&(vi, _)| vi).collect();
         let new_rows: Vec<Row> = pending.iter().map(|(_, r)| r.clone()).collect();
-        guard.check_unique(&new_rows, &superseded, stmt_txid(txn))?;
+        guard.check_unique(&new_rows, &superseded, txn.txid())?;
     }
-    let stamp = write_stamp(db, txn);
+    let stamp = db.write_stamp(txn);
     let mut created = Vec::with_capacity(pending.len());
     let mut ended = Vec::with_capacity(pending.len());
     for (vi, new_row) in pending {
@@ -2612,7 +2412,7 @@ fn run_delete<'db>(db: &'db Database, dp: &DmlPlan, params: &[Value]) -> Result<
             return Err(serialize_conflict());
         }
     }
-    let stamp = write_stamp(db, txn);
+    let stamp = db.write_stamp(txn);
     for &vi in &hits {
         guard.end_version(vi, stamp);
     }
@@ -2759,7 +2559,7 @@ pub(crate) fn execute<'db>(
         db.check_txn_ok()?;
     }
     let result = match &**plan {
-        PhysicalPlan::StaticSelect(_) => run_static_select(db, plan, params, true),
+        PhysicalPlan::StaticSelect(_) => run_static_select(db, plan, params),
         PhysicalPlan::DynamicSelect => {
             let Stmt::Select(sel) = stmt else {
                 unreachable!("dynamic SELECT plan compiled from a non-SELECT statement");

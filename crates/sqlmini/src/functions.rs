@@ -305,11 +305,9 @@ pub fn register_builtin_table_fns(db: &Database) {
         push("fleet_tasks", fleet_tasks);
         push("fleet_workers", fleet_workers);
         push("fleet_task_ns", fleet_task_ns);
-        let (shard_count, shard_waits, group_commits, batched) = db.shard_stats();
+        let (shard_count, shard_waits) = db.shard_stats();
         push("shard_count", shard_count);
         push("write_shard_waits", shard_waits);
-        push("group_commits", group_commits);
-        push("group_commit_batched", batched);
         for (name, count) in db.udf_call_counts() {
             if count > 0 {
                 push(&format!("calls.{name}"), count);
@@ -453,8 +451,6 @@ mod tests {
         assert_eq!(get("calls.pgfmu_stats"), 1);
         assert!(get("shard_count") >= 1, "shard count is always at least 1");
         assert_eq!(get("write_shard_waits"), 0, "uncontended single thread");
-        assert_eq!(get("group_commits"), 0, "no transactional commits ran");
-        assert_eq!(get("group_commit_batched"), 0);
         // Counters are monotone across calls.
         let q2 = d
             .execute("SELECT value FROM pgfmu_stats() WHERE stat = 'calls.pgfmu_stats'")

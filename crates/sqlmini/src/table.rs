@@ -444,9 +444,8 @@ fn conflict_live(v: &VersionedRow, txid: u64) -> bool {
 /// Lock discipline: shard locks are only ever acquired by a thread that
 /// holds the table's outer `RwLock` guard (read or write), and always in
 /// ascending shard order when more than one is taken. Exclusive (`&mut`)
-/// access reaches arenas through `get_mut`, which takes no lock at all —
-/// so the single-shard configuration pays nothing over the unsharded
-/// design.
+/// access reaches arenas through `get_mut`, which takes no lock at all;
+/// an append under the outer read guard takes just its home shard's.
 #[derive(Debug)]
 pub struct Table {
     /// The table's schema.
@@ -775,20 +774,6 @@ impl Table {
         }
     }
 
-    /// Exclusively lock the given shards (ascending, deduplicated) for
-    /// commit stamping. The group-commit leader holds these while it
-    /// advances the commit clock, so no reader whose snapshot is at or
-    /// above the new stamp can observe a torn commit.
-    pub(crate) fn lock_shards(&self, shards: &[usize]) -> ShardLocks<'_> {
-        debug_assert!(shards.windows(2).all(|w| w[0] < w[1]));
-        ShardLocks {
-            guards: shards
-                .iter()
-                .map(|&s| (s, self.shards[s].arena.write()))
-                .collect(),
-        }
-    }
-
     /// Iterate `(rid, version)` pairs visible to `snap` — for DML under
     /// the outer write guard, which needs the rid to stamp the version
     /// it supersedes.
@@ -1077,34 +1062,6 @@ impl ShardAppend<'_> {
         let pos = self.arena.push(begin, data);
         self.mod_count.fetch_add(1, Ordering::Relaxed);
         make_rid(self.shard, pos)
-    }
-}
-
-/// Exclusive locks over a commit's touched shards, used by the
-/// group-commit leader to stamp pending versions.
-pub(crate) struct ShardLocks<'t> {
-    guards: Vec<(usize, RwLockWriteGuard<'t, Arena>)>,
-}
-
-impl ShardLocks<'_> {
-    fn arena(&mut self, shard: usize) -> &mut Arena {
-        let i = self
-            .guards
-            .binary_search_by_key(&shard, |g| g.0)
-            .expect("commit touched an unlocked shard");
-        &mut self.guards[i].1
-    }
-
-    /// Commit a pending insert: `UNCOMMITTED | txid` → `cts`.
-    pub(crate) fn commit_begin(&mut self, rid: Rid, txid: u64, cts: u64) {
-        self.arena(rid_shard(rid))
-            .commit_begin(rid_pos(rid), txid, cts);
-    }
-
-    /// Commit a pending delete: `UNCOMMITTED | txid` → `cts`.
-    pub(crate) fn commit_end(&mut self, rid: Rid, txid: u64, cts: u64) {
-        self.arena(rid_shard(rid))
-            .commit_end(rid_pos(rid), txid, cts);
     }
 }
 

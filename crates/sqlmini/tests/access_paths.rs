@@ -293,7 +293,7 @@ fn create_unique_index_fails_on_existing_duplicates() {
 }
 
 #[test]
-fn unique_check_applies_to_streaming_insert_select() {
+fn unique_check_applies_to_insert_select() {
     let db = Database::new();
     db.execute("CREATE TABLE src (k int)").unwrap();
     db.execute("INSERT INTO src VALUES (1), (2), (2)").unwrap();
@@ -306,6 +306,48 @@ fn unique_check_applies_to_streaming_insert_select() {
     assert!(err.contains("duplicate key value"), "{err}");
     let n: Vec<i64> = db.query_as("SELECT count(*) FROM dst", &[]).unwrap();
     assert_eq!(n, vec![0], "the statement aborts as a unit");
+}
+
+#[test]
+fn unique_check_applies_to_insert_select_from_a_table_function() {
+    // A dynamic source (a table function in FROM) yields a duplicate
+    // within the statement's own rows: integer division maps 2 and 3
+    // onto the same key.
+    let db = Database::new();
+    db.execute("CREATE TABLE dst (k int)").unwrap();
+    db.execute("CREATE UNIQUE INDEX dst_k ON dst (k)").unwrap();
+    let err = db
+        .execute("INSERT INTO dst SELECT g / 2 FROM generate_series(1, 3) AS g")
+        .unwrap_err()
+        .to_string();
+    assert!(err.contains("duplicate key value"), "{err}");
+    let n: Vec<i64> = db.query_as("SELECT count(*) FROM dst", &[]).unwrap();
+    assert_eq!(n, vec![0], "the statement aborts as a unit");
+}
+
+#[test]
+fn unique_check_applies_to_insert_rows_at_any_shard_count() {
+    for shards in [1, 8] {
+        let db = Database::with_table_shards(shards);
+        db.execute("CREATE TABLE t (k int)").unwrap();
+        db.execute("CREATE UNIQUE INDEX t_k ON t (k)").unwrap();
+        db.execute("INSERT INTO t VALUES (1)").unwrap();
+        let err = db
+            .insert_rows("t", vec![vec![Value::Int(1)]])
+            .unwrap_err()
+            .to_string();
+        assert_eq!(
+            err, "constraint violation: duplicate key value violates unique constraint \"t_k\"",
+            "S={shards}"
+        );
+        // A duplicate inside the batch is rejected whole, too.
+        assert!(db
+            .insert_rows("t", vec![vec![Value::Int(2)], vec![Value::Int(2)]])
+            .is_err());
+        let n: Vec<i64> = db.query_as("SELECT count(*) FROM t", &[]).unwrap();
+        assert_eq!(n, vec![1], "S={shards}: failed batches leave no rows");
+        assert_eq!(db.insert_rows("t", vec![vec![Value::Int(2)]]).unwrap(), 1);
+    }
 }
 
 // --- index maintenance under DML -------------------------------------------

@@ -380,15 +380,15 @@ fn select_distinct_composes_with_grouping() {
     assert_eq!(q.rows.len(), 1, "both groups project the same row");
 }
 
-// --- streaming INSERT … SELECT ---------------------------------------------
+// --- INSERT … SELECT -------------------------------------------------------
 
 #[test]
 fn insert_select_snapshots_its_source() {
     let db = Database::new();
     db.execute("CREATE TABLE t (v int)").unwrap();
     db.execute("INSERT INTO t VALUES (1), (2)").unwrap();
-    // The streamed source snapshots the scan: self-insertion doubles the
-    // table instead of looping over its own output.
+    // The source is drained before anything is appended: self-insertion
+    // doubles the table instead of looping over its own output.
     let q = db.execute("INSERT INTO t SELECT v + 10 FROM t").unwrap();
     assert_eq!(q.rows[0][0], Value::Int(2));
     let all: Vec<i64> = db.query_as("SELECT v FROM t ORDER BY v", &[]).unwrap();

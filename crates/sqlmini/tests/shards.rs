@@ -1,5 +1,6 @@
-//! Sharded version storage: multi-writer stress over one table, cursor
-//! pinning at shard granularity, and the S=1-vs-S>1 equivalence
+//! Sharded version storage: multi-writer stress over one table,
+//! cross-table commit atomicity, cursor pinning at shard granularity,
+//! and the S=1-vs-S>1 equivalence
 //! contract — a single-threaded session must observe *byte-identical*
 //! results (including row order) whatever the shard count, because
 //! home-shard routing keeps one thread's appends in one arena. Run in
@@ -35,7 +36,8 @@ fn disjoint_writers_with_readers_and_vacuum() {
                     for i in 0..PER_WRITER {
                         let k = base + i;
                         match i % 10 {
-                            // Transactional rounds ride group commit.
+                            // Transactional rounds commit under the
+                            // table's write guard.
                             3 => {
                                 db.execute("BEGIN").unwrap();
                                 ins.query(params![k, 2 * k]).unwrap();
@@ -92,12 +94,75 @@ fn disjoint_writers_with_readers_and_vacuum() {
     assert_eq!(q.rows[0][0], Value::Int(expect_n));
     assert_eq!(q.rows[0][1], Value::Float(expect_k as f64));
     assert_eq!(q.rows[0][2], Value::Float(2.0 * expect_k as f64));
-    let (shards, _, group_commits, _) = db.shard_stats();
-    assert_eq!(shards, 8);
-    assert!(
-        group_commits >= 1,
-        "transactional rounds at S>1 must go through group commit"
+    assert_eq!(db.shard_stats().0, 8);
+    assert_eq!(
+        db.txn_stats().0,
+        WRITERS as u64 * (PER_WRITER as u64 / 10),
+        "every transactional round commits exactly once"
     );
+}
+
+/// Cross-table commit atomicity at S>1: each writer transaction inserts
+/// one row into `a` and one into `b`, and every reader transaction —
+/// one pinned snapshot across two statements — must count the same
+/// number of rows in both, while a vacuum loop compacts alongside. A
+/// commit that became visible in one table before the other would show
+/// up as a count mismatch.
+#[test]
+fn cross_table_commits_are_atomic_under_concurrency() {
+    const WRITERS: usize = 3;
+    const PER_WRITER: i64 = 300;
+    let db = Database::with_table_shards(8);
+    db.execute("CREATE TABLE a (k int)").unwrap();
+    db.execute("CREATE TABLE b (k int)").unwrap();
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        let db = &db;
+        let stop = &stop;
+        let writers: Vec<_> = (0..WRITERS)
+            .map(|w| {
+                s.spawn(move || {
+                    let ins_a = db.prepare("INSERT INTO a VALUES ($1)").unwrap();
+                    let ins_b = db.prepare("INSERT INTO b VALUES ($1)").unwrap();
+                    for i in 0..PER_WRITER {
+                        let k = w as i64 * 10_000 + i;
+                        db.execute("BEGIN").unwrap();
+                        ins_a.query(params![k]).unwrap();
+                        ins_b.query(params![k]).unwrap();
+                        db.execute("COMMIT").unwrap();
+                    }
+                })
+            })
+            .collect();
+        for _ in 0..2 {
+            s.spawn(move || loop {
+                // Check before testing `stop`, so every reader takes at
+                // least one snapshot however late it is scheduled.
+                db.execute("BEGIN").unwrap();
+                let na: Vec<i64> = db.query_as("SELECT count(*) FROM a", &[]).unwrap();
+                let nb: Vec<i64> = db.query_as("SELECT count(*) FROM b", &[]).unwrap();
+                db.execute("COMMIT").unwrap();
+                assert_eq!(na, nb, "a commit was visible in one table only");
+                if stop.load(Ordering::Relaxed) {
+                    break;
+                }
+            });
+        }
+        s.spawn(move || {
+            while !stop.load(Ordering::Relaxed) {
+                db.vacuum();
+            }
+        });
+        for w in writers {
+            w.join().unwrap();
+        }
+        stop.store(true, Ordering::Relaxed);
+    });
+    let n = WRITERS as i64 * PER_WRITER;
+    for t in ["a", "b"] {
+        let q = db.execute(&format!("SELECT count(*) FROM {t}")).unwrap();
+        assert_eq!(q.rows[0][0], Value::Int(n), "table {t}");
+    }
 }
 
 /// A half-open streaming cursor pins version storage at shard
