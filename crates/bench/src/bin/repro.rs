@@ -1,12 +1,14 @@
 //! `repro` — regenerate every table and figure of the pgFMU paper.
 //!
 //! ```text
-//! repro [EXPERIMENT…] [--full] [--instances N]
+//! repro [EXPERIMENT…] [--full] [--instances N] [--out PATH]
 //!
 //! EXPERIMENT: table1 table2 table3 table4 table7 table8 fig6 fig7 fig8
 //!             madlib grouped bench  (default: all)
 //! --full        paper-scale workloads (100 instances, full datasets)
 //! --instances N override the MI instance count
+//! --out PATH    where `bench` writes its JSON
+//!               (default: target/repro-bench.json)
 //! ```
 //!
 //! `bench` times the SQL hot paths (parse, cached plan execution, `$n`
@@ -25,9 +27,10 @@
 //! split over 1/2/4 writer threads, auto-commit and explicit
 //! BEGIN…COMMIT variants, which rides the sharded version storage) and
 //! writes per-bench robust medians
-//! (`{"median_ns": …, "mad_ns": …}`, see `criterion::stats`) to
-//! `BENCH_PR10.json` so the performance trajectory accumulates across
-//! PRs.
+//! (`{"median_ns": …, "mad_ns": …}`, see `criterion::stats`) to the
+//! `--out` path. The default lies in the ignored build directory, so a
+//! run leaves the tracked tree unchanged; the committed `BENCH_PR*.json`
+//! files are earlier runs kept as a record.
 
 use pgfmu_bench::report::{fmt_secs, render};
 use pgfmu_bench::setup::{bench_session, ModelKind, ALL_MODELS};
@@ -40,21 +43,29 @@ fn main() {
     } else {
         Profile::quick()
     };
-    if let Some(pos) = args.iter().position(|a| a == "--instances") {
-        if let Some(n) = args.get(pos + 1).and_then(|v| v.parse::<usize>().ok()) {
-            profile.mi_instances = n;
+    let mut out = "target/repro-bench.json";
+    let mut wanted: Vec<&str> = Vec::new();
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--instances" => {
+                if let Some(n) = it.next().and_then(|v| v.parse::<usize>().ok()) {
+                    profile.mi_instances = n;
+                }
+            }
+            "--out" => match it.next() {
+                Some(path) => out = path,
+                None => {
+                    eprintln!("repro: --out needs a path");
+                    std::process::exit(2);
+                }
+            },
+            flag if flag.starts_with("--") => {}
+            name => wanted.push(name),
         }
     }
-    let wanted: Vec<&String> = args
-        .iter()
-        .filter(|a| !a.starts_with("--"))
-        .filter(|a| {
-            // skip the value of --instances
-            a.parse::<usize>().is_err()
-        })
-        .collect();
     let run_all = wanted.is_empty();
-    let want = |name: &str| run_all || wanted.iter().any(|w| *w == name);
+    let want = |name: &str| run_all || wanted.contains(&name);
 
     println!(
         "pgFMU-rs experiment reproduction — profile: {} instances, {} HP samples, {} classroom samples\n",
@@ -95,7 +106,7 @@ fn main() {
         run_grouped(&profile);
     }
     if want("bench") {
-        run_bench_json("BENCH_PR10.json");
+        run_bench_json(out);
     }
 }
 
@@ -716,6 +727,9 @@ fn run_bench_json(path: &str) {
          \"write_shard_waits\": {write_shard_waits}}}\n"
     ));
     json.push_str("}\n");
+    if let Some(dir) = std::path::Path::new(path).parent() {
+        std::fs::create_dir_all(dir).expect("create the --out directory");
+    }
     std::fs::write(path, &json).unwrap();
     for (name, s) in &results {
         println!(

@@ -25,11 +25,12 @@
 //! counter ticks and which lanes may raise errors.
 
 use std::cmp::Ordering;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::atomic::Ordering as AtomicOrdering;
 
 use crate::ast::{BinOp, Expr, UnOp};
-use crate::exec::KeyAtom;
+use crate::exec::float_key_bits;
 use crate::plan::{AggOp, PlanFn};
 use crate::table::{Row, Schema};
 use crate::value::{DataType, Value};
@@ -50,23 +51,17 @@ pub(crate) type VResult<T> = std::result::Result<T, Fallback>;
 #[derive(Clone)]
 pub(crate) struct Validity {
     bits: Vec<u64>,
-    nulls: usize,
 }
 
 impl Validity {
     pub(crate) fn all_valid(len: usize) -> Validity {
         Validity {
             bits: vec![u64::MAX; len.div_ceil(64)],
-            nulls: 0,
         }
     }
 
     pub(crate) fn set_null(&mut self, i: usize) {
-        let (w, m) = (i / 64, 1u64 << (i % 64));
-        if self.bits[w] & m != 0 {
-            self.bits[w] &= !m;
-            self.nulls += 1;
-        }
+        self.bits[i / 64] &= !(1u64 << (i % 64));
     }
 
     #[inline]
@@ -94,14 +89,6 @@ impl IntKind {
             IntKind::Int => Value::Int(v),
             IntKind::Timestamp => Value::Timestamp(v),
             IntKind::Interval => Value::Interval(v),
-        }
-    }
-
-    fn atom(self, v: i64) -> KeyAtom {
-        match self {
-            IntKind::Int => KeyAtom::Int(v),
-            IntKind::Timestamp => KeyAtom::Timestamp(v),
-            IntKind::Interval => KeyAtom::Interval(v),
         }
     }
 }
@@ -160,28 +147,6 @@ impl<'a> ColVec<'a> {
         }
     }
 
-    /// Normalized grouping atom for lane `i` — must canonicalize floats
-    /// exactly like [`KeyAtom::from_value`] (`-0.0` → `0.0`, NaN → one
-    /// bit pattern) so vectorized and scalar grouping bucket identically.
-    pub(crate) fn key_atom_at(&self, i: usize) -> KeyAtom {
-        if !self.validity().is_valid(i) {
-            return KeyAtom::Null;
-        }
-        match self {
-            ColVec::F64 { data, .. } => {
-                let f = if data[i] == 0.0 { 0.0 } else { data[i] };
-                KeyAtom::Float(if f.is_nan() {
-                    f64::NAN.to_bits()
-                } else {
-                    f.to_bits()
-                })
-            }
-            ColVec::I64 { kind, data, .. } => kind.atom(data[i]),
-            ColVec::Bool { data, .. } => KeyAtom::Bool(data[i]),
-            ColVec::Text { data, .. } => KeyAtom::Text(data[i].to_string()),
-        }
-    }
-
     /// Copy the lanes listed in `sel` into a new column.
     fn gather(&self, sel: &[u32]) -> ColVec<'a> {
         fn pick<T: Copy>(data: &[T], valid: &Validity, sel: &[u32]) -> (Vec<T>, Validity) {
@@ -233,24 +198,36 @@ pub(crate) struct Batch<'a> {
     len: usize,
 }
 
+/// Rows per fill chunk. [`Batch::fill`] runs every column's typed loop
+/// over one chunk before it reads the next, so a chunk of rows (about
+/// 200 KB for a four-column table) is still in cache when the next
+/// column reads it.
+const FILL_CHUNK: usize = 1024;
+
 impl<'a> Batch<'a> {
     pub(crate) fn len(&self) -> usize {
         self.len
     }
 
-    /// Transpose `slots` of the visible rows into typed columns. The
-    /// column type is the *declared* schema type; a stored value of any
-    /// other shape (possible through `variant` coercion paths) aborts to
-    /// the scalar executor rather than guessing.
+    /// Transpose `slots` of the visible rows into typed columns, chunk by
+    /// chunk. The column type is the *declared* schema type; a stored
+    /// value of any other shape (possible through `variant` coercion
+    /// paths) aborts to the scalar executor rather than guessing.
     pub(crate) fn fill(schema: &Schema, rows: &[&'a Row], slots: &[usize]) -> VResult<Batch<'a>> {
         let mut cols: Vec<Option<ColVec<'a>>> = Vec::with_capacity(schema.columns.len());
         cols.resize_with(schema.columns.len(), || None);
         for &slot in slots {
-            if cols[slot].is_some() {
-                continue;
-            }
             let dtype = schema.columns.get(slot).ok_or(Fallback)?.dtype;
-            cols[slot] = Some(fill_col(dtype, rows, slot)?);
+            if cols[slot].is_none() {
+                cols[slot] = Some(ColVec::with_capacity(dtype, rows.len())?);
+            }
+        }
+        for chunk in rows.chunks(FILL_CHUNK) {
+            for (slot, col) in cols.iter_mut().enumerate() {
+                if let Some(col) = col {
+                    col.extend_from(chunk, slot)?;
+                }
+            }
         }
         Ok(Batch {
             cols,
@@ -259,54 +236,82 @@ impl<'a> Batch<'a> {
     }
 }
 
-fn fill_col<'a>(dtype: DataType, rows: &[&'a Row], slot: usize) -> VResult<ColVec<'a>> {
-    let mut valid = Validity::all_valid(rows.len());
-    macro_rules! typed {
-        ($default:expr, $pat:pat => $lane:expr) => {{
-            let mut data = Vec::with_capacity(rows.len());
-            for (i, row) in rows.iter().enumerate() {
-                match row.get(slot).ok_or(Fallback)? {
-                    Value::Null => {
-                        valid.set_null(i);
-                        data.push($default);
-                    }
-                    $pat => data.push($lane),
-                    _ => return Err(Fallback),
-                }
-            }
-            data
-        }};
+impl<'a> ColVec<'a> {
+    /// An empty column of the declared type with room for `n` lanes.
+    fn with_capacity(dtype: DataType, n: usize) -> VResult<ColVec<'a>> {
+        let valid = Validity::all_valid(n);
+        Ok(match dtype {
+            DataType::Float => ColVec::F64 {
+                data: Vec::with_capacity(n),
+                valid,
+            },
+            DataType::Int => ColVec::I64 {
+                kind: IntKind::Int,
+                data: Vec::with_capacity(n),
+                valid,
+            },
+            DataType::Timestamp => ColVec::I64 {
+                kind: IntKind::Timestamp,
+                data: Vec::with_capacity(n),
+                valid,
+            },
+            DataType::Interval => ColVec::I64 {
+                kind: IntKind::Interval,
+                data: Vec::with_capacity(n),
+                valid,
+            },
+            DataType::Bool => ColVec::Bool {
+                data: Vec::with_capacity(n),
+                valid,
+            },
+            DataType::Text => ColVec::Text {
+                data: Vec::with_capacity(n),
+                valid,
+            },
+            DataType::Variant => return Err(Fallback),
+        })
     }
-    Ok(match dtype {
-        DataType::Float => ColVec::F64 {
-            data: typed!(0.0, Value::Float(f) => *f),
-            valid,
-        },
-        DataType::Int => ColVec::I64 {
-            kind: IntKind::Int,
-            data: typed!(0, Value::Int(v) => *v),
-            valid,
-        },
-        DataType::Timestamp => ColVec::I64 {
-            kind: IntKind::Timestamp,
-            data: typed!(0, Value::Timestamp(v) => *v),
-            valid,
-        },
-        DataType::Interval => ColVec::I64 {
-            kind: IntKind::Interval,
-            data: typed!(0, Value::Interval(v) => *v),
-            valid,
-        },
-        DataType::Bool => ColVec::Bool {
-            data: typed!(false, Value::Bool(b) => *b),
-            valid,
-        },
-        DataType::Text => ColVec::Text {
-            data: typed!("", Value::Text(s) => s.as_str()),
-            valid,
-        },
-        DataType::Variant => return Err(Fallback),
-    })
+
+    /// Append `slot` of each of `rows`: one typed loop for the column.
+    fn extend_from(&mut self, rows: &[&'a Row], slot: usize) -> VResult<()> {
+        macro_rules! typed {
+            ($data:ident, $valid:ident, $default:expr, $pat:pat => $lane:expr) => {
+                for row in rows {
+                    match row.get(slot).ok_or(Fallback)? {
+                        Value::Null => {
+                            $valid.set_null($data.len());
+                            $data.push($default);
+                        }
+                        $pat => $data.push($lane),
+                        _ => return Err(Fallback),
+                    }
+                }
+            };
+        }
+        match self {
+            ColVec::F64 { data, valid } => typed!(data, valid, 0.0, Value::Float(f) => *f),
+            ColVec::I64 {
+                kind: IntKind::Int,
+                data,
+                valid,
+            } => typed!(data, valid, 0, Value::Int(v) => *v),
+            ColVec::I64 {
+                kind: IntKind::Timestamp,
+                data,
+                valid,
+            } => typed!(data, valid, 0, Value::Timestamp(v) => *v),
+            ColVec::I64 {
+                kind: IntKind::Interval,
+                data,
+                valid,
+            } => typed!(data, valid, 0, Value::Interval(v) => *v),
+            ColVec::Bool { data, valid } => typed!(data, valid, false, Value::Bool(b) => *b),
+            ColVec::Text { data, valid } => {
+                typed!(data, valid, "", Value::Text(s) => s.as_str())
+            }
+        }
+        Ok(())
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -937,45 +942,90 @@ pub(crate) fn filter(
     }
 }
 
+/// Dense first-seen ids for a sequence of keys: the first distinct key
+/// gets 0, the next 1, and so on. A key equal to the one before reuses
+/// its id without a map probe, so clustered input hashes once per run.
+/// Returns each lane's id and, per id, the lane that first had it.
+fn dense_ids<K: Copy + Eq + Hash>(keys: impl Iterator<Item = K>) -> (Vec<u32>, Vec<u32>) {
+    let mut map: HashMap<K, u32> = HashMap::new();
+    let mut ids = Vec::with_capacity(keys.size_hint().0);
+    let mut firsts = Vec::new();
+    let mut prev: Option<(K, u32)> = None;
+    for (lane, key) in keys.enumerate() {
+        let id = match prev {
+            Some((p, id)) if p == key => id,
+            _ => {
+                let id = *map.entry(key).or_insert_with(|| {
+                    firsts.push(lane as u32);
+                    firsts.len() as u32 - 1
+                });
+                prev = Some((key, id));
+                id
+            }
+        };
+        ids.push(id);
+    }
+    (ids, firsts)
+}
+
+/// The map key of an id pair, `(hi << 32) | lo`: distinct pairs get
+/// distinct keys, so numbering pairs numbers the tuples they stand for.
+fn pair(hi: u32, lo: u32) -> u64 {
+    (hi as u64) << 32 | lo as u64
+}
+
+/// [`dense_ids`] over the lanes of one column. The map key is the lane's
+/// payload (canonical float bits, the integer, the bool, or the borrowed
+/// text); NULL is `None`, an id of its own.
+fn column_ids(col: &ColVec<'_>) -> (Vec<u32>, Vec<u32>) {
+    fn lanes<'d, T: Copy, K>(
+        data: &'d [T],
+        valid: &'d Validity,
+        key: impl Fn(T) -> K + 'd,
+    ) -> impl Iterator<Item = Option<K>> + 'd {
+        data.iter()
+            .enumerate()
+            .map(move |(i, &x)| valid.is_valid(i).then(|| key(x)))
+    }
+    match col {
+        ColVec::F64 { data, valid } => dense_ids(lanes(data, valid, float_key_bits)),
+        ColVec::I64 { data, valid, .. } => dense_ids(lanes(data, valid, |x| x)),
+        ColVec::Bool { data, valid } => dense_ids(lanes(data, valid, |x| x)),
+        ColVec::Text { data, valid } => dense_ids(lanes(data, valid, |x| x)),
+    }
+}
+
 /// Grouped aggregation over materialized key and argument columns (all
 /// of length `n`, already gathered through the selection). Returns
 /// `(key values, aggregate values)` per group in first-seen order — the
 /// same contract as the scalar grouping operator, including the "empty
 /// GROUP BY yields one group even over empty input" rule.
+///
+/// Each key column gets dense ids of its own; further key columns fold
+/// in pairwise as the composite [`pair`]`(id so far, column id)`, again
+/// densely numbered in first-seen order. Key tuples and composite ids
+/// map one to one over the same row order, so the group order is the
+/// scalar executor's. A group's key values come from its first lane.
 pub(crate) fn grouped_fold(
     keys: &[ColVec<'_>],
     aggs: &[(AggOp, Option<ColVec<'_>>)],
     n: usize,
 ) -> VResult<Vec<(Vec<Value>, Vec<Value>)>> {
-    let mut gids: Vec<u32> = Vec::with_capacity(n);
-    let mut key_rows: Vec<Vec<Value>> = Vec::new();
-    if keys.is_empty() {
-        key_rows.push(Vec::new());
-        gids.resize(n, 0);
-    } else if keys.len() == 1 {
-        // Single-key specialization: no per-lane Vec allocation.
-        let k = &keys[0];
-        let mut map: HashMap<KeyAtom, u32> = HashMap::new();
-        for i in 0..n {
-            let gid = *map.entry(k.key_atom_at(i)).or_insert_with(|| {
-                let g = key_rows.len() as u32;
-                key_rows.push(vec![k.value_at(i)]);
-                g
-            });
-            gids.push(gid);
+    let (gids, key_rows) = match keys.split_first() {
+        None => (vec![0; n], vec![Vec::new()]),
+        Some((first, rest)) => {
+            let (mut gids, mut firsts) = column_ids(first);
+            for k in rest {
+                let (col, _) = column_ids(k);
+                (gids, firsts) = dense_ids(gids.iter().zip(&col).map(|(&g, &c)| pair(g, c)));
+            }
+            let key_rows: Vec<Vec<Value>> = firsts
+                .iter()
+                .map(|&i| keys.iter().map(|k| k.value_at(i as usize)).collect())
+                .collect();
+            (gids, key_rows)
         }
-    } else {
-        let mut map: HashMap<Vec<KeyAtom>, u32> = HashMap::new();
-        for i in 0..n {
-            let atoms: Vec<KeyAtom> = keys.iter().map(|k| k.key_atom_at(i)).collect();
-            let gid = *map.entry(atoms).or_insert_with(|| {
-                let g = key_rows.len() as u32;
-                key_rows.push(keys.iter().map(|k| k.value_at(i)).collect());
-                g
-            });
-            gids.push(gid);
-        }
-    }
+    };
     let ng = key_rows.len();
     let mut agg_cols: Vec<Vec<Value>> = Vec::with_capacity(aggs.len());
     for (op, arg) in aggs {
@@ -1008,19 +1058,22 @@ fn fold_one(op: AggOp, arg: Option<&ColVec<'_>>, gids: &[u32], ng: usize) -> VRe
             Ok(counts.into_iter().map(Value::Int).collect())
         }
         AggOp::CountDistinct => {
+            // One count per distinct (group, value) pair among the
+            // non-NULL lanes; NULL lanes share the pair id `None`.
             let col = arg.ok_or(Fallback)?;
-            let mut sets: Vec<HashSet<KeyAtom>> = Vec::with_capacity(ng);
-            sets.resize_with(ng, HashSet::new);
+            let (vids, _) = column_ids(col);
             let valid = col.validity();
-            for (i, &g) in gids.iter().enumerate() {
-                if valid.is_valid(i) {
-                    sets[g as usize].insert(col.key_atom_at(i));
+            let (_, firsts) = dense_ids(
+                (gids.iter().zip(&vids).enumerate())
+                    .map(|(i, (&g, &v))| valid.is_valid(i).then_some(pair(g, v))),
+            );
+            let mut counts = vec![0i64; ng];
+            for i in firsts {
+                if valid.is_valid(i as usize) {
+                    counts[gids[i as usize] as usize] += 1;
                 }
             }
-            Ok(sets
-                .into_iter()
-                .map(|s| Value::Int(s.len() as i64))
-                .collect())
+            Ok(counts.into_iter().map(Value::Int).collect())
         }
         AggOp::Sum | AggOp::Avg => {
             let col = arg.ok_or(Fallback)?;
@@ -1100,11 +1153,8 @@ fn fold_one(op: AggOp, arg: Option<&ColVec<'_>>, gids: &[u32], ng: usize) -> VRe
             if let ColVec::F64 { data, .. } = col {
                 // A best-lane NaN never loses a comparison above when it
                 // arrives first; scalar min/max errors on any NaN.
-                for (i, &g) in gids.iter().enumerate() {
-                    let _ = g;
-                    if valid.is_valid(i) && data[i].is_nan() {
-                        return Err(Fallback);
-                    }
+                if (data.iter().enumerate()).any(|(i, f)| f.is_nan() && valid.is_valid(i)) {
+                    return Err(Fallback);
                 }
             }
             Ok(best
@@ -1238,7 +1288,6 @@ mod tests {
         v.set_null(64); // idempotent
         assert!(!v.is_valid(64));
         assert!(v.is_valid(63) && v.is_valid(65));
-        assert_eq!(v.nulls, 1);
     }
 
     #[test]

@@ -414,20 +414,26 @@ pub(crate) enum KeyAtom {
     Interval(i64),
 }
 
+/// The grouping identity of a float: `-0.0` and `0.0` share one bucket
+/// and every NaN shares another. Both executors group floats by these
+/// bits, so they bucket identically.
+pub(crate) fn float_key_bits(f: f64) -> u64 {
+    if f == 0.0 {
+        0f64.to_bits()
+    } else if f.is_nan() {
+        f64::NAN.to_bits()
+    } else {
+        f.to_bits()
+    }
+}
+
 impl KeyAtom {
     pub(crate) fn from_value(v: &Value) -> KeyAtom {
         match v {
             Value::Null => KeyAtom::Null,
             Value::Bool(b) => KeyAtom::Bool(*b),
             Value::Int(i) => KeyAtom::Int(*i),
-            Value::Float(f) => {
-                let f = if *f == 0.0 { 0.0 } else { *f };
-                KeyAtom::Float(if f.is_nan() {
-                    f64::NAN.to_bits()
-                } else {
-                    f.to_bits()
-                })
-            }
+            Value::Float(f) => KeyAtom::Float(float_key_bits(*f)),
             Value::Text(s) => KeyAtom::Text(s.clone()),
             Value::Timestamp(t) => KeyAtom::Timestamp(*t),
             Value::Interval(s) => KeyAtom::Interval(*s),
@@ -1704,9 +1710,9 @@ fn vec_ordered(
     let n = sel.len();
     let key = batch::eval(key_expr, &b, &sel, &cx)?.materialize(n)?;
     let order = if limit < n {
-        // NaN sort keys need the full stable sort to reproduce the
-        // scalar "NaN compares equal" placement; the heap handles
-        // every total-order column.
+        // The heap serves every key column: `lane_cmp` orders NaN after
+        // every float and NULLs last, so with the lane-index tie-break
+        // it yields exactly the stable sort's first `limit` lanes.
         batch::top_k_indices(&key, *desc, limit)
     } else {
         batch::sort_indices(&key, *desc)

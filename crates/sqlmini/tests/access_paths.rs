@@ -544,6 +544,66 @@ fn explain_reports_the_vectorized_choice_and_top_k() {
 }
 
 #[test]
+fn stored_simulation_rollup_runs_on_the_batch_path() {
+    // A silent fallback would still match the scalar results, so pin the
+    // path: the per-instance, per-day rollup over `fmu_simulate` output.
+    let db = Database::new();
+    db.set_vectorized_enabled(true);
+    db.execute(
+        "CREATE TABLE sim (simulationtime timestamp, instanceid text, varname text, value float)",
+    )
+    .unwrap();
+    // 2015-02-01 00:00 UTC: 3 instances × 72 hours × 2 variables.
+    const T0: i64 = 1_422_748_800;
+    let mut rows = Vec::new();
+    for inst in 0..3 {
+        for h in 0..72i64 {
+            for var in ["x", "y"] {
+                rows.push(vec![
+                    Value::Timestamp(T0 + 3600 * h),
+                    Value::Text(format!("hp_{inst}")),
+                    Value::Text(var.into()),
+                    Value::Float(h as f64),
+                ]);
+            }
+        }
+    }
+    db.insert_rows("sim", rows).unwrap();
+    let rollup = "SELECT instanceid, floor(extract_epoch(simulationtime) / 86400.0)::int AS day, \
+                  count(*) AS n, avg(value) AS mean FROM sim GROUP BY 1, 2";
+    let plan = plan_of(&db, rollup);
+    assert!(plan.contains("Vectorized: true"), "{plan}");
+    let (_, ops_before, _) = db.vectorized_stats();
+    let q = db.execute(rollup).unwrap();
+    let (_, ops, fallbacks) = db.vectorized_stats();
+    assert!(
+        ops > ops_before,
+        "the rollup did not run a vectorized operator"
+    );
+    assert_eq!(fallbacks, 0);
+    // First-seen group order: instance by instance, day by day.
+    assert_eq!(q.rows.len(), 9);
+    let day0 = T0 / 86400;
+    assert_eq!(
+        q.rows[0],
+        vec![
+            Value::Text("hp_0".into()),
+            Value::Int(day0),
+            Value::Int(48),
+            Value::Float(11.5),
+        ]
+    );
+    assert_eq!(
+        q.rows[8][..3],
+        [
+            Value::Text("hp_2".into()),
+            Value::Int(day0 + 2),
+            Value::Int(48)
+        ]
+    );
+}
+
+#[test]
 fn runtime_fallback_matches_scalar_errors_and_ticks_the_counter() {
     let db = Database::new();
     db.set_vectorized_enabled(true);

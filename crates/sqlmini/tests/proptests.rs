@@ -641,6 +641,58 @@ fn load_kv(db: &Database, rows: &[(Option<i64>, Option<f64>)]) {
     }
 }
 
+/// One row of `g (k int, s text, b bool, ts timestamp, v float)`.
+type GRow = (
+    Option<i64>,
+    Option<&'static str>,
+    Option<bool>,
+    Option<i64>,
+    Option<f64>,
+);
+
+/// A row of `g`: few distinct keys per column, NULLs in every column,
+/// and floats that include the `-0.0` / `0.0` pair and NaN.
+fn arb_grow() -> BoxedStrategy<GRow> {
+    let s = prop_oneof![
+        Just(None),
+        Just(Some("a")),
+        Just(Some("b")),
+        Just(Some("hp_1")),
+        Just(Some("")),
+    ];
+    let b = prop_oneof![Just(None), Just(Some(true)), Just(Some(false))];
+    // 2015-02-01 00:00 UTC plus up to four days of hours; 4% NULL.
+    let ts = (0i64..100).prop_map(|h| (h < 96).then_some(1_422_748_800 + 3600 * h));
+    let v = prop_oneof![
+        Just(None),
+        Just(Some(-0.0)),
+        Just(Some(0.0)),
+        Just(Some(f64::NAN)),
+        (-3i64..3).prop_map(|i| Some(i as f64 * 0.5)),
+        (-1e6f64..1e6).prop_map(Some),
+    ];
+    (arb_key(), s, b, ts, v).boxed()
+}
+
+/// Create `g` and load the rows with `insert_rows`.
+fn load_g(db: &Database, rows: &[GRow]) {
+    db.execute("CREATE TABLE g (k int, s text, b bool, ts timestamp, v float)")
+        .unwrap();
+    let rows = rows
+        .iter()
+        .map(|&(k, s, b, ts, v)| {
+            vec![
+                k.map(Value::Int).unwrap_or(Value::Null),
+                s.map(|s| Value::Text(s.into())).unwrap_or(Value::Null),
+                b.map(Value::Bool).unwrap_or(Value::Null),
+                ts.map(Value::Timestamp).unwrap_or(Value::Null),
+                v.map(Value::Float).unwrap_or(Value::Null),
+            ]
+        })
+        .collect();
+    db.insert_rows("g", rows).unwrap();
+}
+
 /// Run `sql` with the vectorized toggle on, then off, and return both
 /// outcomes (rows, or the error message) for comparison.
 #[allow(clippy::type_complexity)]
@@ -696,6 +748,50 @@ proptest! {
         let (filled, ops, _) = db.vectorized_stats();
         prop_assert!(filled >= 1, "no batch was filled");
         prop_assert!(ops >= 1, "no vectorized operator ran");
+    }
+
+    /// Multi-key grouping, per-group `count(DISTINCT …)` and the stored
+    /// simulation rollup's key shape on the batch path match the scalar
+    /// sweep bit for bit (`-0.0` and NaN included, hence the `Debug`
+    /// comparison) and in first-seen group order. The table crosses the
+    /// batch fill's chunk size, and sorted loads give the keys long runs.
+    #[test]
+    fn vectorized_multi_key_grouping_matches_scalar(
+        mut rows in proptest::collection::vec(arb_grow(), 0..2600),
+        order in 0u8..3,
+    ) {
+        match order {
+            1 => rows.sort_by_key(|r| (r.0, r.1, r.2)),
+            2 => rows.sort_by_key(|r| (r.1, r.3)),
+            _ => {}
+        }
+        let db = Database::new();
+        load_g(&db, &rows);
+        let statements = [
+            "SELECT k, s, count(*), count(v), sum(v), min(ts), max(s) FROM g GROUP BY k, s",
+            "SELECT b, k, v, count(*), avg(v) FROM g GROUP BY b, k, v",
+            "SELECT s, floor(extract_epoch(ts) / 86400.0)::int AS day, \
+             count(*) AS n, avg(v) AS mean FROM g GROUP BY 1, 2",
+            "SELECT v, count(*) FROM g GROUP BY v",
+            "SELECT k, count(DISTINCT v), count(DISTINCT s) FROM g GROUP BY k",
+            "SELECT s, b, count(DISTINCT v), count(DISTINCT ts) FROM g GROUP BY s, b",
+            "SELECT count(DISTINCT v), count(DISTINCT b) FROM g",
+        ];
+        let (_, ops_before, _) = db.vectorized_stats();
+        for sql in statements {
+            let (vectorized, scalar) = sweep_vectorized(&db, sql);
+            prop_assert!(vectorized.is_ok(), "statement: {} -> {:?}", sql, vectorized);
+            prop_assert_eq!(
+                format!("{vectorized:?}"),
+                format!("{scalar:?}"),
+                "statement: {}",
+                sql
+            );
+        }
+        // Every statement ran on the batch path, none fell back.
+        let (_, ops, fallbacks) = db.vectorized_stats();
+        prop_assert_eq!(ops - ops_before, statements.len() as u64);
+        prop_assert_eq!(fallbacks, 0);
     }
 
     /// Ordered / LIMIT SELECTs on the batch path (single-key index sort
