@@ -159,11 +159,11 @@ fn median_ns(runs: usize, f: impl FnMut()) -> u128 {
 }
 
 /// Time the SQL hot paths and write per-bench robust medians
-/// (`{"name": {"median_ns": …, "mad_ns": …}}`) plus the engine's scan
-/// counters as JSON.
+/// (`{"name": {"median_ns": …, "mad_ns": …}}`) plus every `pgfmu_stats()`
+/// registry statistic as JSON.
 fn run_bench_json(path: &str) {
     use criterion::stats::{summarize, Summary};
-    use pgfmu_sqlmini::{format_timestamp, params, Database, Value};
+    use pgfmu_sqlmini::{format_timestamp, params, Database, Stat, Value};
     use std::hint::black_box;
 
     println!("== Hot-path microbenchmarks -> {path} ==");
@@ -199,7 +199,7 @@ fn run_bench_json(path: &str) {
     // inversion check is purely "does the streaming cursor cost more
     // than materializing a QueryResult and reading it back". Both take
     // the zero-copy scan (asserted below).
-    let (_, zero_before, _) = db.scan_stats();
+    let zero_before = db.stat(Stat::ScansZeroCopy);
     let pair = db.prepare("SELECT ts, x, u FROM m WHERE x > $1").unwrap();
     push(
         "sql_select_bound",
@@ -436,14 +436,14 @@ fn run_bench_json(path: &str) {
         db.execute("CREATE UNIQUE INDEX big_k ON big (k)").unwrap();
         db.execute("ANALYZE big").unwrap();
         let point = db.prepare("SELECT v FROM big WHERE k = $1").unwrap();
-        let (ix_before, _, _, _) = db.access_stats();
+        let ix_before = db.stat(Stat::IndexScans);
         push(
             "sql_point_lookup_indexed",
             sample_ns(SELECT_RUNS, || {
                 black_box(point.query(params![77_777i64]).unwrap());
             }),
         );
-        let (ix_after, _, _, _) = db.access_stats();
+        let ix_after = db.stat(Stat::IndexScans);
         assert!(
             ix_after > ix_before + SELECT_RUNS as u64,
             "point lookups must take the index path \
@@ -484,7 +484,8 @@ fn run_bench_json(path: &str) {
         db.execute("CREATE UNIQUE INDEX topk_small_k ON topk_small (k)")
             .unwrap();
         db.execute("ANALYZE topk_small").unwrap();
-        let (filled_before, ops_before, _) = db.vectorized_stats();
+        let filled_before = db.stat(Stat::BatchesFilled);
+        let ops_before = db.stat(Stat::VectorizedOps);
         let q10 = db
             .prepare(
                 "SELECT k, v FROM topk_small WHERE k >= $1 AND k < $2 \
@@ -509,7 +510,8 @@ fn run_bench_json(path: &str) {
                 black_box(q100.query(params![40_000i64, 40_256i64]).unwrap());
             }),
         );
-        let (filled_after, ops_after, _) = db.vectorized_stats();
+        let filled_after = db.stat(Stat::BatchesFilled);
+        let ops_after = db.stat(Stat::VectorizedOps);
         assert!(
             filled_after > filled_before && ops_after > ops_before,
             "the top-K benches must take the vectorized batch path \
@@ -534,14 +536,14 @@ fn run_bench_json(path: &str) {
         let join = db
             .prepare("SELECT count(*), avg(jl.v + jr.w) FROM jl JOIN jr ON jl.k = jr.k")
             .unwrap();
-        let (_, _, hj_before, _) = db.access_stats();
+        let hj_before = db.stat(Stat::HashJoins);
         push(
             "sql_hash_join_vs_nested",
             sample_ns(30, || {
                 black_box(join.query(params![]).unwrap());
             }),
         );
-        let (_, _, hj_after, _) = db.access_stats();
+        let hj_after = db.stat(Stat::HashJoins);
         assert!(
             hj_after >= hj_before + 31,
             "the equi-join must build a hash table \
@@ -670,7 +672,8 @@ fn run_bench_json(path: &str) {
         // The observability counters double as the proof that the fleet
         // path actually ran: 1 equivalence batch + 1 warm-up + the timed
         // samples, each fanning one task per instance at 4 workers.
-        let (fleet_tasks, fleet_workers, fleet_task_ns) = s.db().fleet_stats();
+        let [fleet_tasks, fleet_workers, fleet_task_ns] =
+            [Stat::FleetTasks, Stat::FleetWorkers, Stat::FleetTaskNs].map(|st| s.db().stat(st));
         assert_eq!(
             fleet_tasks,
             ((FLEET_RUNS + 2) * n_instances) as u64,
@@ -681,23 +684,22 @@ fn run_bench_json(path: &str) {
         (n_instances, fleet_tasks, fleet_workers, fleet_task_ns)
     };
 
-    let (rows_scanned, zero_copy, fallbacks) = db.scan_stats();
-    let (txns_committed, txns_rolled_back) = db.txn_stats();
-    let (index_scans, seq_scans, hash_joins, analyze_runs) = db.access_stats();
-    let (batches_filled, vectorized_ops, vectorized_fallbacks) = db.vectorized_stats();
-    let versions_gc = db.gc_stats();
-    let (shard_count, write_shard_waits) = db.shard_stats();
+    // Every registry statistic, in `pgfmu_stats()` row order.
+    let stats: Vec<(&str, u64)> = Stat::ALL
+        .iter()
+        .map(|&st| (st.name(), db.stat(st)))
+        .collect();
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
     // The transactional ingest variant must have left real commit and GC
     // traffic behind — the PR-9 footer recorded 0 for both.
     assert!(
-        txns_committed > 0,
+        db.stat(Stat::TxnsCommitted) > 0,
         "the transactional ingest bench must commit explicit transactions"
     );
     assert!(
-        versions_gc > 0,
+        db.stat(Stat::VersionsGc) > 0,
         "the ingest benches vacuum between samples; GC must have reclaimed versions"
     );
     let mut json = String::from("{\n");
@@ -712,19 +714,10 @@ fn run_bench_json(path: &str) {
          \"fleet_workers\": {}, \"fleet_task_ns\": {}, \"cores\": {cores}}},\n",
         fleet.0, fleet.1, fleet.2, fleet.3
     ));
+    let stats_json: Vec<String> = stats.iter().map(|(n, v)| format!("\"{n}\": {v}")).collect();
     json.push_str(&format!(
-        "  \"pgfmu_stats\": {{\"rows_scanned\": {rows_scanned}, \
-         \"scans_zero_copy\": {zero_copy}, \"scan_fallbacks\": {fallbacks}, \
-         \"index_scans\": {index_scans}, \"seq_scans\": {seq_scans}, \
-         \"hash_joins\": {hash_joins}, \"analyze_runs\": {analyze_runs}, \
-         \"batches_filled\": {batches_filled}, \
-         \"vectorized_ops\": {vectorized_ops}, \
-         \"vectorized_fallbacks\": {vectorized_fallbacks}, \
-         \"txns_committed\": {txns_committed}, \
-         \"txns_rolled_back\": {txns_rolled_back}, \
-         \"versions_gc\": {versions_gc}, \
-         \"shard_count\": {shard_count}, \
-         \"write_shard_waits\": {write_shard_waits}}}\n"
+        "  \"pgfmu_stats\": {{{}}}\n",
+        stats_json.join(", ")
     ));
     json.push_str("}\n");
     if let Some(dir) = std::path::Path::new(path).parent() {
@@ -782,7 +775,8 @@ fn run_bench_json(path: &str) {
         median_of("sql_concurrent_ingest_1writers") / median_of("sql_concurrent_ingest_4writers");
     println!(
         "concurrent ingest: 4 writers {ingest_speedup:.2}x over 1 writer for the \
-         same total row count ({shard_count} table shard(s), {cores} core(s) available)"
+         same total row count ({} table shard(s), {cores} core(s) available)",
+        db.stat(Stat::ShardCount)
     );
     if cores >= 4 {
         assert!(
@@ -798,16 +792,8 @@ fn run_bench_json(path: &str) {
              still covered by the S=1-vs-S=8 equivalence tests"
         );
     }
-    println!(
-        "scan counters: {rows_scanned} rows scanned, {zero_copy} zero-copy scans, \
-         {fallbacks} snapshot scans (zero-copy confirmed via pgfmu_stats()); \
-         {index_scans} index scans / {seq_scans} seq scans / {hash_joins} hash joins \
-         / {analyze_runs} analyze runs; \
-         {batches_filled} batches filled / {vectorized_ops} vectorized ops / \
-         {vectorized_fallbacks} vectorized fallbacks; \
-         {versions_gc} dead row versions reclaimed by GC; \
-         {shard_count} table shard(s) / {write_shard_waits} shard write waits"
-    );
+    let stats_line: Vec<String> = stats.iter().map(|(n, v)| format!("{n}={v}")).collect();
+    println!("pgfmu_stats: {}", stats_line.join(", "));
     println!("wrote {path}\n");
 }
 

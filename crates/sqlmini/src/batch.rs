@@ -609,8 +609,8 @@ fn arith<'a>(op: BinOp, l: &Evaled<'a>, r: &Evaled<'a>, n: usize) -> VResult<Eva
     let mut valid = Validity::all_valid(n);
     if a.int_kind() == Some(IntKind::Int) && b.int_kind() == Some(IntKind::Int) {
         // Integer arm, exactly like the scalar executor: division by
-        // zero is a runtime error (→ re-run) and overflow matches the
-        // scalar build profile's behaviour (→ re-run).
+        // zero and overflow are runtime errors, so the batch declines
+        // and the scalar re-run raises them.
         let mut data = vec![0i64; n];
         for (lane, out) in data.iter_mut().enumerate() {
             if !(a.valid(lane) && b.valid(lane)) {

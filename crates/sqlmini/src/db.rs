@@ -33,6 +33,7 @@ use std::thread::ThreadId;
 use parking_lot::{Mutex, RwLock};
 
 use crate::ast::{self, Stmt};
+use crate::counters::Stat;
 use crate::decode::FromRow;
 use crate::error::{Result, SqlError};
 use crate::exec::{self, Rows};
@@ -326,17 +327,12 @@ pub struct Database {
     intrinsics: RwLock<HashMap<String, functions::Intrinsic>>,
     stmt_cache: Mutex<StmtCache>,
     udf_counters: RwLock<HashMap<String, Arc<AtomicU64>>>,
-    parses: AtomicU64,
-    cache_hits: AtomicU64,
+    /// One slot per [`Stat`], indexed by the variant; the gauges' slots
+    /// stay zero (see [`Database::stat`]).
+    counters: [AtomicU64; Stat::ALL.len()],
     /// Bumped by CREATE/DROP TABLE; cached plans compiled under an older
     /// epoch are recompiled on their next execution.
     schema_epoch: AtomicU64,
-    plans_built: AtomicU64,
-    plan_cache_hits: AtomicU64,
-    agg_evals: AtomicU64,
-    rows_scanned: AtomicU64,
-    scans_zero_copy: AtomicU64,
-    scan_fallbacks: AtomicU64,
     /// The commit clock. A statement's snapshot is the clock value when
     /// it starts; each committing write advances the clock and stamps its
     /// versions with the new value, so writes are invisible to snapshots
@@ -352,23 +348,10 @@ pub struct Database {
     /// Snapshot timestamps pinned by open transactions (refcounted).
     /// The garbage collector's watermark is the oldest key.
     pinned_snapshots: Mutex<BTreeMap<u64, usize>>,
-    txns_committed: AtomicU64,
-    txns_rolled_back: AtomicU64,
-    versions_gc: AtomicU64,
     /// Planner statistics per table (lower-case name), refreshed by
     /// `ANALYZE` / [`Database::analyze`] and automatically when a table's
     /// churn since the last pass crosses the staleness threshold.
     table_stats: RwLock<HashMap<String, TableStats>>,
-    index_scans: AtomicU64,
-    seq_scans: AtomicU64,
-    hash_joins: AtomicU64,
-    analyze_runs: AtomicU64,
-    /// Fleet-execution counters (reported by the embedding layer): tasks
-    /// retired on pooled workers, the high-water pool width, and the sum
-    /// of per-task wall time in nanoseconds.
-    fleet_tasks: AtomicU64,
-    fleet_workers: AtomicU64,
-    fleet_task_ns: AtomicU64,
     /// Planner toggles (all default on). Turning one off pins the
     /// pessimistic plan shape — sequential scans / nested loops /
     /// tuple-at-a-time execution — which the equivalence tests and
@@ -376,22 +359,12 @@ pub struct Database {
     index_access: AtomicBool,
     hash_join: AtomicBool,
     vectorized: AtomicBool,
-    /// Columnar-execution counters: batches materialized from the
-    /// zero-copy scan, vectorized operator executions, and statements
-    /// that were classified batch-eligible at plan time but fell back
-    /// to the scalar executor.
-    batches_filled: AtomicU64,
-    vectorized_ops: AtomicU64,
-    vectorized_fallbacks: AtomicU64,
     /// Version shards per table, fixed at database creation and applied
     /// to every table as it is registered. `1` reproduces the single-
     /// arena behaviour bit-for-bit (the `PGFMU_TABLE_SHARDS=1` escape
     /// hatch); larger values give disjoint-row writers independent
     /// shard locks.
     table_shards: usize,
-    /// Times a writer's home shard was contended and it had to block
-    /// (the fast path is an uncontended `try_write`).
-    write_shard_waits: AtomicU64,
 }
 
 impl Default for Database {
@@ -424,7 +397,19 @@ impl Database {
     /// Create a database whose tables are sharded `shards` ways
     /// (rounded up to a power of two, clamped to `[1, 64]`). Tests and
     /// benchmarks use this instead of the environment variable so
-    /// parallel test binaries don't race on `set_var`.
+    /// parallel test binaries don't race on `set_var`. The shard count
+    /// is fixed here and reported as the `shard_count` statistic:
+    ///
+    /// ```
+    /// use pgfmu_sqlmini::{Database, Stat, Value};
+    ///
+    /// let db = Database::with_table_shards(8);
+    /// let q = db
+    ///     .execute("SELECT value FROM pgfmu_stats() WHERE stat = 'shard_count'")
+    ///     .unwrap();
+    /// assert_eq!(q.rows[0][0], Value::Int(8));
+    /// assert_eq!(db.stat(Stat::ShardCount), 8);
+    /// ```
     pub fn with_table_shards(shards: usize) -> Self {
         let db = Database {
             tables: RwLock::new(HashMap::new()),
@@ -433,42 +418,21 @@ impl Database {
             intrinsics: RwLock::new(HashMap::new()),
             stmt_cache: Mutex::new(StmtCache::new(DEFAULT_STMT_CACHE_CAPACITY)),
             udf_counters: RwLock::new(HashMap::new()),
-            parses: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
+            counters: std::array::from_fn(|_| AtomicU64::new(0)),
             schema_epoch: AtomicU64::new(0),
-            plans_built: AtomicU64::new(0),
-            plan_cache_hits: AtomicU64::new(0),
-            agg_evals: AtomicU64::new(0),
-            rows_scanned: AtomicU64::new(0),
-            scans_zero_copy: AtomicU64::new(0),
-            scan_fallbacks: AtomicU64::new(0),
             clock: AtomicU64::new(1),
             txid_gen: AtomicU64::new(0),
             txns: Mutex::new(HashMap::new()),
             txn_count: AtomicU64::new(0),
             pinned_snapshots: Mutex::new(BTreeMap::new()),
-            txns_committed: AtomicU64::new(0),
-            txns_rolled_back: AtomicU64::new(0),
-            versions_gc: AtomicU64::new(0),
             table_stats: RwLock::new(HashMap::new()),
-            index_scans: AtomicU64::new(0),
-            seq_scans: AtomicU64::new(0),
-            hash_joins: AtomicU64::new(0),
-            analyze_runs: AtomicU64::new(0),
-            fleet_tasks: AtomicU64::new(0),
-            fleet_workers: AtomicU64::new(0),
-            fleet_task_ns: AtomicU64::new(0),
             index_access: AtomicBool::new(true),
             hash_join: AtomicBool::new(true),
             // Default on; `PGFMU_VECTORIZED=0` starts every database
             // scalar-only so CI can sweep the whole suite both ways
             // (mirrors the `PGFMU_FLEET_WORKERS` matrix convention).
             vectorized: AtomicBool::new(std::env::var("PGFMU_VECTORIZED").as_deref() != Ok("0")),
-            batches_filled: AtomicU64::new(0),
-            vectorized_ops: AtomicU64::new(0),
-            vectorized_fallbacks: AtomicU64::new(0),
             table_shards: shards.clamp(1, 64).next_power_of_two(),
-            write_shard_waits: AtomicU64::new(0),
         };
         functions::register_builtin_scalars(&db);
         functions::register_builtin_table_fns(&db);
@@ -583,7 +547,7 @@ impl Database {
                 let rows = coerce(&guard)?;
                 let mut append = guard.begin_append();
                 if append.waited() {
-                    self.write_shard_waits.fetch_add(1, Ordering::Relaxed);
+                    self.bump(Stat::WriteShardWaits, 1);
                 }
                 let begin = self.write_stamp(txn);
                 rows.into_iter().map(|r| append.push(begin, r)).collect()
@@ -686,7 +650,7 @@ impl Database {
             let snap = self.current_snapshot();
             stats::analyze_table(&guard, snap, guard.mod_count())
         };
-        self.analyze_runs.fetch_add(1, Ordering::Relaxed);
+        self.bump(Stat::AnalyzeRuns, 1);
         self.table_stats.write().insert(key, s.clone());
         Some(s)
     }
@@ -716,7 +680,7 @@ impl Database {
                 let snap = self.current_snapshot();
                 stats::analyze_table(&guard, snap, guard.mod_count())
             };
-            self.analyze_runs.fetch_add(1, Ordering::Relaxed);
+            self.bump(Stat::AnalyzeRuns, 1);
             out.push((name.clone(), s.row_count));
             self.table_stats.write().insert(name, s);
         }
@@ -759,62 +723,6 @@ impl Database {
     pub fn set_vectorized_enabled(&self, on: bool) {
         self.vectorized.store(on, Ordering::SeqCst);
         self.schema_epoch.fetch_add(1, Ordering::SeqCst);
-    }
-
-    /// Count one column batch materialized from a zero-copy scan.
-    pub(crate) fn note_batch_filled(&self) {
-        self.batches_filled.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count one vectorized operator execution (a grouped/ungrouped
-    /// aggregate fold, a single-key index sort, or a top-K heap run).
-    pub(crate) fn note_vectorized_op(&self) {
-        self.vectorized_ops.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count one statement that the planner classified batch-eligible
-    /// but that executed on the scalar path anyway (toggle off at run
-    /// time, or a shape the kernels decline).
-    pub(crate) fn note_vectorized_fallback(&self) {
-        self.vectorized_fallbacks.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// `(batches filled, vectorized ops, vectorized fallbacks)` since
-    /// creation. The same numbers surface through `pgfmu_stats()`.
-    pub fn vectorized_stats(&self) -> (u64, u64, u64) {
-        (
-            self.batches_filled.load(Ordering::Relaxed),
-            self.vectorized_ops.load(Ordering::Relaxed),
-            self.vectorized_fallbacks.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Count one single-table access-path execution.
-    pub(crate) fn note_access(&self, indexed: bool) {
-        if indexed {
-            self.index_scans.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.seq_scans.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Count one hash-join execution.
-    pub(crate) fn note_hash_join(&self) {
-        self.hash_joins.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// `(index scans, sequential scans, hash joins, analyze passes)`
-    /// since creation. Scan counts cover single-table SELECT access
-    /// paths (one per base-table scan, indexed or not); analyze passes
-    /// count both explicit `ANALYZE` and automatic staleness refreshes.
-    /// The same numbers surface through `pgfmu_stats()`.
-    pub fn access_stats(&self) -> (u64, u64, u64, u64) {
-        (
-            self.index_scans.load(Ordering::Relaxed),
-            self.seq_scans.load(Ordering::Relaxed),
-            self.hash_joins.load(Ordering::Relaxed),
-            self.analyze_runs.load(Ordering::Relaxed),
-        )
     }
 
     // ---- functions ----------------------------------------------------------
@@ -957,10 +865,10 @@ impl Database {
     /// text was seen before.
     pub fn prepare(&self, sql: &str) -> Result<Statement<'_>> {
         if let Some(prepared) = self.stmt_cache.lock().get(sql) {
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
+            self.bump(Stat::CacheHits, 1);
             return Ok(Statement { db: self, prepared });
         }
-        self.parses.fetch_add(1, Ordering::Relaxed);
+        self.bump(Stat::Parses, 1);
         // A syntax error aborts an open transaction (PostgreSQL reports
         // the parse error itself, but the transaction is done for).
         let parsed = Arc::new(parser::parse(sql).inspect_err(|_| self.abort_txn())?);
@@ -978,43 +886,14 @@ impl Database {
         let epoch = self.schema_epoch.load(Ordering::Relaxed);
         if let Some((e, plan)) = &*prepared.plan.lock() {
             if *e == epoch {
-                self.plan_cache_hits.fetch_add(1, Ordering::Relaxed);
+                self.bump(Stat::PlanCacheHits, 1);
                 return Ok(Arc::clone(plan));
             }
         }
         let plan = Arc::new(plan::compile(self, &prepared.stmt)?);
-        self.plans_built.fetch_add(1, Ordering::Relaxed);
+        self.bump(Stat::PlansBuilt, 1);
         *prepared.plan.lock() = Some((epoch, Arc::clone(&plan)));
         Ok(plan)
-    }
-
-    /// Count one transient (non-cached) plan compilation.
-    pub(crate) fn note_plan_built(&self) {
-        self.plans_built.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count per-group aggregate evaluations.
-    pub(crate) fn note_agg_evals(&self, n: u64) {
-        self.agg_evals.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Record one table scan: `rows` source rows examined, either
-    /// zero-copy (under the table guard, no snapshot) or through a
-    /// snapshot fallback. A guarded streaming cursor passes 0 here and
-    /// reports its exact examined count through
-    /// [`Database::note_scan_rows`] when it finishes.
-    pub(crate) fn note_scan(&self, rows: u64, zero_copy: bool) {
-        self.rows_scanned.fetch_add(rows, Ordering::Relaxed);
-        if zero_copy {
-            self.scans_zero_copy.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.scan_fallbacks.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Add rows examined by an already-recorded scan.
-    pub(crate) fn note_scan_rows(&self, rows: u64) {
-        self.rows_scanned.fetch_add(rows, Ordering::Relaxed);
     }
 
     // ---- transactions, snapshots and garbage collection ---------------------
@@ -1255,7 +1134,7 @@ impl Database {
             }
         }
         self.finish_txn(&txn);
-        self.txns_committed.fetch_add(1, Ordering::Relaxed);
+        self.bump(Stat::TxnsCommitted, 1);
         Ok(true)
     }
 
@@ -1359,7 +1238,7 @@ impl Database {
             );
         }
         self.finish_txn(&txn);
-        self.txns_rolled_back.fetch_add(1, Ordering::Relaxed);
+        self.bump(Stat::TxnsRolledBack, 1);
     }
 
     /// Release a finished transaction's table pins and snapshot pin.
@@ -1393,7 +1272,7 @@ impl Database {
     pub(crate) fn maybe_gc(&self, table: &mut Table) {
         if table.needs_gc() {
             let freed = table.compact(self.gc_watermark());
-            self.versions_gc.fetch_add(freed as u64, Ordering::Relaxed);
+            self.bump(Stat::VersionsGc, freed as u64);
         }
     }
 
@@ -1411,82 +1290,24 @@ impl Database {
             // other tables) proceed.
             freed += handle.read().compact_shards(watermark);
         }
-        self.versions_gc.fetch_add(freed as u64, Ordering::Relaxed);
+        self.bump(Stat::VersionsGc, freed as u64);
         freed
     }
 
-    /// `(transactions committed, transactions rolled back)` since
-    /// creation. Rolled-back counts include aborted transactions closed
-    /// by COMMIT.
-    pub fn txn_stats(&self) -> (u64, u64) {
-        (
-            self.txns_committed.load(Ordering::Relaxed),
-            self.txns_rolled_back.load(Ordering::Relaxed),
-        )
+    // ---- statistics ---------------------------------------------------------
+
+    /// Add `n` to one of the registry's counters.
+    pub(crate) fn bump(&self, stat: Stat, n: u64) {
+        self.counters[stat as usize].fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Number of dead row versions reclaimed by the garbage collector
-    /// since creation.
-    pub fn gc_stats(&self) -> u64 {
-        self.versions_gc.load(Ordering::Relaxed)
-    }
-
-    /// Record a retired fleet batch: `tasks` pooled tasks run on a pool
-    /// of `workers` threads, spending `task_ns` nanoseconds of summed
-    /// per-task wall time. The engine never spawns threads itself; the
-    /// embedding layer's fleet executor reports here so the counters are
-    /// queryable next to the engine's own (`pgfmu_stats()`).
-    pub fn note_fleet(&self, tasks: u64, workers: u64, task_ns: u64) {
-        self.fleet_tasks.fetch_add(tasks, Ordering::Relaxed);
-        self.fleet_workers.fetch_max(workers, Ordering::Relaxed);
-        self.fleet_task_ns.fetch_add(task_ns, Ordering::Relaxed);
-    }
-
-    /// `(fleet tasks retired, high-water pool width, summed task
-    /// nanoseconds)` since creation.
-    pub fn fleet_stats(&self) -> (u64, u64, u64) {
-        (
-            self.fleet_tasks.load(Ordering::Relaxed),
-            self.fleet_workers.load(Ordering::Relaxed),
-            self.fleet_task_ns.load(Ordering::Relaxed),
-        )
-    }
-
-    /// `(shard count, contended shard-lock acquisitions)` since creation.
-    /// Also queryable from SQL via `pgfmu_stats()`:
+    /// The current value of one `pgfmu_stats()` row. Counters accumulate
+    /// since creation (`fleet_workers` keeps a high-water mark);
+    /// `stmt_cache_size`, `stmt_cache_capacity` and `shard_count` are
+    /// gauges read from live state.
     ///
     /// ```
-    /// use pgfmu_sqlmini::{Database, Value};
-    ///
-    /// let db = Database::with_table_shards(8);
-    /// let q = db
-    ///     .query(
-    ///         "SELECT value FROM pgfmu_stats() WHERE stat = 'shard_count'",
-    ///         &[],
-    ///     )
-    ///     .unwrap();
-    /// assert_eq!(q.rows[0][0], Value::Int(8));
-    /// assert_eq!(db.shard_stats().0, 8);
-    /// ```
-    pub fn shard_stats(&self) -> (u64, u64) {
-        (
-            self.table_shards as u64,
-            self.write_shard_waits.load(Ordering::Relaxed),
-        )
-    }
-
-    /// `(rows scanned, zero-copy scans, snapshot scans)` since creation.
-    ///
-    /// A *zero-copy* scan ran directly over the table's rows under its
-    /// guard, materializing only the statement's surviving output — the
-    /// executor picks it per plan whenever a single-table statement's
-    /// scan-side expressions cannot re-enter the database. Everything
-    /// else (multi-table joins, re-entrant expressions, dynamic FROM
-    /// items) counts as a snapshot scan. The same numbers are queryable
-    /// from SQL via `pgfmu_stats()`:
-    ///
-    /// ```
-    /// use pgfmu_sqlmini::{Database, Value};
+    /// use pgfmu_sqlmini::{Database, Stat};
     ///
     /// let db = Database::new();
     /// db.execute("CREATE TABLE m (x float, note text)").unwrap();
@@ -1501,15 +1322,55 @@ impl Database {
     ///     .execute("SELECT value FROM pgfmu_stats() WHERE stat = 'rows_scanned'")
     ///     .unwrap();
     /// assert!(q.rows[0][0].as_i64().unwrap() >= 9);
-    /// let (rows, zero, fallback) = db.scan_stats();
-    /// assert!(rows >= 9 && zero >= 1 && fallback >= 2);
+    /// assert!(db.stat(Stat::RowsScanned) >= 9);
+    /// assert!(db.stat(Stat::ScansZeroCopy) >= 1);
+    /// assert!(db.stat(Stat::ScanFallbacks) >= 2);
     /// ```
-    pub fn scan_stats(&self) -> (u64, u64, u64) {
-        (
-            self.rows_scanned.load(Ordering::Relaxed),
-            self.scans_zero_copy.load(Ordering::Relaxed),
-            self.scan_fallbacks.load(Ordering::Relaxed),
-        )
+    pub fn stat(&self, stat: Stat) -> u64 {
+        match stat {
+            Stat::StmtCacheSize => self.stmt_cache.lock().map.len() as u64,
+            Stat::StmtCacheCapacity => self.stmt_cache.lock().capacity as u64,
+            Stat::ShardCount => self.table_shards as u64,
+            counter => self.counters[counter as usize].load(Ordering::Relaxed),
+        }
+    }
+
+    /// Record one table scan: `rows` source rows examined, either
+    /// zero-copy (under the table guard, no snapshot) or through a
+    /// snapshot fallback. A guarded streaming cursor passes 0 here and
+    /// bumps `rows_scanned` by its exact examined count when it finishes.
+    pub(crate) fn note_scan(&self, rows: u64, zero_copy: bool) {
+        self.bump(Stat::RowsScanned, rows);
+        let kind = if zero_copy {
+            Stat::ScansZeroCopy
+        } else {
+            Stat::ScanFallbacks
+        };
+        self.bump(kind, 1);
+    }
+
+    /// Count one single-table access-path execution.
+    pub(crate) fn note_access(&self, indexed: bool) {
+        self.bump(
+            if indexed {
+                Stat::IndexScans
+            } else {
+                Stat::SeqScans
+            },
+            1,
+        );
+    }
+
+    /// Record a retired fleet batch: `tasks` pooled tasks run on a pool
+    /// of `workers` threads, spending `task_ns` nanoseconds of summed
+    /// per-task wall time. The engine never spawns threads itself; the
+    /// embedding layer's fleet executor reports here so the counters are
+    /// queryable next to the engine's own (`pgfmu_stats()`).
+    /// `fleet_workers` keeps the high-water mark.
+    pub fn note_fleet(&self, tasks: u64, workers: u64, task_ns: u64) {
+        self.bump(Stat::FleetTasks, tasks);
+        self.counters[Stat::FleetWorkers as usize].fetch_max(workers, Ordering::Relaxed);
+        self.bump(Stat::FleetTaskNs, task_ns);
     }
 
     /// Prepare (with cache reuse) and execute one statement with `$n` bind
@@ -1537,45 +1398,9 @@ impl Database {
     /// Execute without consulting or filling the statement cache (used by
     /// benchmarks to isolate the prepared-statement effect).
     pub fn execute_uncached(&self, sql: &str) -> Result<QueryResult> {
-        self.parses.fetch_add(1, Ordering::Relaxed);
+        self.bump(Stat::Parses, 1);
         let stmt = parser::parse(sql).inspect_err(|_| self.abort_txn())?;
         exec::execute_stmt(self, &stmt, &[])
-    }
-
-    /// `(parse count, statement cache hits)` since creation.
-    pub fn statement_stats(&self) -> (u64, u64) {
-        (
-            self.parses.load(Ordering::Relaxed),
-            self.cache_hits.load(Ordering::Relaxed),
-        )
-    }
-
-    /// `(physical plans compiled, plan-cache hits)` since creation. A
-    /// re-executed prepared statement hits; DDL (CREATE/DROP TABLE) bumps
-    /// the schema epoch and forces a recompile on next execution.
-    pub fn plan_stats(&self) -> (u64, u64) {
-        (
-            self.plans_built.load(Ordering::Relaxed),
-            self.plan_cache_hits.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Number of per-group aggregate evaluations performed by the
-    /// grouping operator since creation. Each *distinct* aggregate call
-    /// of a statement counts once per group, however many times it
-    /// appears across the select list, HAVING and ORDER BY.
-    pub fn agg_eval_count(&self) -> u64 {
-        self.agg_evals.load(Ordering::Relaxed)
-    }
-
-    /// Number of statements currently cached.
-    pub fn stmt_cache_len(&self) -> usize {
-        self.stmt_cache.lock().map.len()
-    }
-
-    /// The statement cache's eviction bound.
-    pub fn stmt_cache_capacity(&self) -> usize {
-        self.stmt_cache.lock().capacity
     }
 
     /// Rebound the statement cache, evicting least-recently-used entries if
@@ -1673,9 +1498,9 @@ mod tests {
         let none: Vec<(f64, i64)> = stmt.query_as(&[Value::Int(2)]).unwrap();
         assert!(none.is_empty());
         // Re-executing the handle reuses the cached plan — no re-parse.
-        let (p0, _) = db.statement_stats();
+        let p0 = db.stat(Stat::Parses);
         stmt.query(&[Value::Int(1)]).unwrap();
-        assert_eq!(db.statement_stats().0, p0);
+        assert_eq!(db.stat(Stat::Parses), p0);
     }
 
     #[test]
@@ -1771,15 +1596,15 @@ mod tests {
     #[test]
     fn statement_cache_counts() {
         let db = setup();
-        let (p0, _h0) = db.statement_stats();
+        let p0 = db.stat(Stat::Parses);
         db.execute("SELECT * FROM m").unwrap();
         db.execute("SELECT * FROM m").unwrap();
         db.execute("SELECT * FROM m").unwrap();
-        let (p1, h1) = db.statement_stats();
+        let (p1, h1) = (db.stat(Stat::Parses), db.stat(Stat::CacheHits));
         assert_eq!(p1 - p0, 1, "only the first execution parses");
         assert!(h1 >= 2);
         db.execute_uncached("SELECT * FROM m").unwrap();
-        let (p2, _) = db.statement_stats();
+        let p2 = db.stat(Stat::Parses);
         assert_eq!(p2 - p1, 1);
     }
 
@@ -1796,12 +1621,12 @@ mod tests {
         assert_eq!(q.len(), 1);
         assert_eq!(q.rows[0][0], Value::Float(23.6231));
         // Same handle, different binds: no re-parse.
-        let (p0, _) = db.statement_stats();
+        let p0 = db.stat(Stat::Parses);
         let q = stmt
             .query(&[Value::Float(-1.0), Value::Float(0.0)])
             .unwrap();
         assert_eq!(q.len(), 3);
-        assert_eq!(db.statement_stats().0, p0);
+        assert_eq!(db.stat(Stat::Parses), p0);
     }
 
     #[test]
@@ -1858,22 +1683,22 @@ mod tests {
     fn lru_statement_cache_evicts_oldest() {
         let db = Database::new();
         db.set_stmt_cache_capacity(4);
-        assert_eq!(db.stmt_cache_capacity(), 4);
+        assert_eq!(db.stat(Stat::StmtCacheCapacity), 4);
         for i in 0..10 {
             db.execute(&format!("SELECT {i}")).unwrap();
         }
-        assert!(db.stmt_cache_len() <= 4);
+        assert!(db.stat(Stat::StmtCacheSize) <= 4);
         // The most recent text is still a cache hit…
-        let (_, h0) = db.statement_stats();
+        let h0 = db.stat(Stat::CacheHits);
         db.execute("SELECT 9").unwrap();
-        assert_eq!(db.statement_stats().1, h0 + 1);
+        assert_eq!(db.stat(Stat::CacheHits), h0 + 1);
         // …while the oldest was evicted and must re-parse.
-        let (p0, _) = db.statement_stats();
+        let p0 = db.stat(Stat::Parses);
         db.execute("SELECT 0").unwrap();
-        assert_eq!(db.statement_stats().0, p0 + 1);
+        assert_eq!(db.stat(Stat::Parses), p0 + 1);
         // Shrinking the capacity evicts immediately.
         db.set_stmt_cache_capacity(1);
-        assert!(db.stmt_cache_len() <= 1);
+        assert!(db.stat(Stat::StmtCacheSize) <= 1);
     }
 
     #[test]
@@ -1884,11 +1709,11 @@ mod tests {
         db.execute("SELECT 2").unwrap();
         db.execute("SELECT 1").unwrap(); // refresh 1 → 2 becomes LRU
         db.execute("SELECT 3").unwrap(); // evicts 2
-        let (p0, _) = db.statement_stats();
+        let p0 = db.stat(Stat::Parses);
         db.execute("SELECT 1").unwrap();
-        assert_eq!(db.statement_stats().0, p0, "SELECT 1 must still be cached");
+        assert_eq!(db.stat(Stat::Parses), p0, "SELECT 1 must still be cached");
         db.execute("SELECT 2").unwrap();
-        assert_eq!(db.statement_stats().0, p0 + 1, "SELECT 2 was evicted");
+        assert_eq!(db.stat(Stat::Parses), p0 + 1, "SELECT 2 was evicted");
     }
 
     #[test]
@@ -2006,9 +1831,9 @@ mod tests {
         assert_eq!(stat(&stats, "plans_built"), built0, "no plan rebuilds");
         assert!(stat(&stats, "plan_cache_hits") >= hits0 + 3);
         // The uncached path compiles a transient plan every time.
-        let (b, _) = db.plan_stats();
+        let b = db.stat(Stat::PlansBuilt);
         db.execute_uncached("SELECT x FROM m").unwrap();
-        assert_eq!(db.plan_stats().0, b + 1);
+        assert_eq!(db.stat(Stat::PlansBuilt), b + 1);
     }
 
     #[test]
@@ -2016,13 +1841,17 @@ mod tests {
         let db = setup();
         let target = db.prepare("SELECT x FROM m").unwrap();
         target.query(&[]).unwrap();
-        let (built0, _) = db.plan_stats();
+        let built0 = db.stat(Stat::PlansBuilt);
         target.query(&[]).unwrap();
-        assert_eq!(db.plan_stats().0, built0, "stable schema reuses the plan");
+        assert_eq!(
+            db.stat(Stat::PlansBuilt),
+            built0,
+            "stable schema reuses the plan"
+        );
         db.execute("CREATE TABLE other (a int)").unwrap();
         target.query(&[]).unwrap();
         assert_eq!(
-            db.plan_stats().0,
+            db.stat(Stat::PlansBuilt),
             built0 + 2,
             "DDL invalidates cached plans"
         );
@@ -2041,7 +1870,7 @@ mod tests {
         db.execute("CREATE TABLE t (k int, v float)").unwrap();
         db.execute("INSERT INTO t VALUES (1, 1.0), (1, 2.0), (2, 3.0), (2, 4.0), (3, 5.0)")
             .unwrap();
-        let a0 = db.agg_eval_count();
+        let a0 = db.stat(Stat::AggEvals);
         // sum(v) appears four times (twice in the select list, in HAVING,
         // in ORDER BY) but is one distinct aggregate call — it must fold
         // exactly once per group.
@@ -2050,13 +1879,13 @@ mod tests {
              HAVING sum(v) > 0 ORDER BY sum(v) DESC",
         )
         .unwrap();
-        assert_eq!(db.agg_eval_count() - a0, 3, "one fold per group");
+        assert_eq!(db.stat(Stat::AggEvals) - a0, 3, "one fold per group");
         // Distinct aggregate calls each count: sum(v) and count(*) over
         // three groups = 6 evaluations.
-        let a1 = db.agg_eval_count();
+        let a1 = db.stat(Stat::AggEvals);
         db.execute("SELECT k, sum(v), count(*) FROM t GROUP BY k")
             .unwrap();
-        assert_eq!(db.agg_eval_count() - a1, 6);
+        assert_eq!(db.stat(Stat::AggEvals) - a1, 6);
     }
 
     #[test]
@@ -2179,14 +2008,18 @@ mod tests {
     #[test]
     fn scan_counters_track_strategy_per_statement() {
         let db = setup();
-        let (r0, z0, f0) = db.scan_stats();
+        let scans = || {
+            let s = [Stat::RowsScanned, Stat::ScansZeroCopy, Stat::ScanFallbacks];
+            s.map(|s| db.stat(s))
+        };
+        let [r0, z0, f0] = scans();
         db.execute("SELECT x FROM m WHERE u >= 0.0").unwrap(); // zero-copy (guarded)
         db.execute("SELECT x FROM m ORDER BY x LIMIT 2").unwrap(); // zero-copy (eager)
         db.execute("SELECT count(*), avg(x) FROM m").unwrap(); // zero-copy (grouped)
         db.execute("UPDATE m SET y = x * 2.0 WHERE u > 0.0")
             .unwrap(); // in place
         db.execute("DELETE FROM m WHERE x > 1e9").unwrap(); // in place
-        let (r1, z1, f1) = db.scan_stats();
+        let [r1, z1, f1] = scans();
         assert_eq!(z1 - z0, 5);
         assert_eq!(f1, f0, "no snapshot taken by any of the above");
         assert_eq!(r1 - r0, 15, "3 rows examined per statement");
@@ -2195,7 +2028,7 @@ mod tests {
         db.execute("SELECT a.x FROM m a, m b").unwrap();
         db.execute("SELECT x FROM m WHERE opaque(u) >= 0.0")
             .unwrap();
-        let (_, z2, f2) = db.scan_stats();
+        let [_, z2, f2] = scans();
         assert_eq!(z2, z1);
         assert_eq!(f2 - f1, 3, "two join scans + one fallback scan");
     }
@@ -2259,7 +2092,8 @@ mod tests {
             db.execute("SELECT u FROM m WHERE x = 21.5").unwrap().rows[0][0],
             Value::Float(9.0)
         );
-        assert_eq!(db.txn_stats(), (1, 0));
+        assert_eq!(db.stat(Stat::TxnsCommitted), 1);
+        assert_eq!(db.stat(Stat::TxnsRolledBack), 0);
     }
 
     #[test]
@@ -2310,7 +2144,8 @@ mod tests {
             epoch0,
             "epoch restored so pre-BEGIN cached plans revalidate"
         );
-        assert_eq!(db.txn_stats(), (0, 1));
+        assert_eq!(db.stat(Stat::TxnsCommitted), 0);
+        assert_eq!(db.stat(Stat::TxnsRolledBack), 1);
     }
 
     #[test]
@@ -2363,7 +2198,8 @@ mod tests {
         db.execute("END").unwrap();
         db.execute("BEGIN WORK").unwrap();
         db.execute("ABORT").unwrap();
-        assert_eq!(db.txn_stats(), (2, 1));
+        assert_eq!(db.stat(Stat::TxnsCommitted), 2);
+        assert_eq!(db.stat(Stat::TxnsRolledBack), 1);
     }
 
     #[test]
@@ -2388,7 +2224,8 @@ mod tests {
             db.execute("SELECT count(*) FROM m").unwrap().rows[0][0],
             Value::Int(3)
         );
-        assert_eq!(db.txn_stats(), (0, 1));
+        assert_eq!(db.stat(Stat::TxnsCommitted), 0);
+        assert_eq!(db.stat(Stat::TxnsRolledBack), 1);
     }
 
     #[test]
@@ -2422,7 +2259,8 @@ mod tests {
             "aborted check should precede planning: {err}"
         );
         db.execute("ROLLBACK").unwrap();
-        assert_eq!(db.txn_stats(), (0, 2));
+        assert_eq!(db.stat(Stat::TxnsCommitted), 0);
+        assert_eq!(db.stat(Stat::TxnsRolledBack), 2);
     }
 
     #[test]
@@ -2488,7 +2326,7 @@ mod tests {
         }
         let freed = db.vacuum();
         assert!(freed >= 9, "freed only {freed} versions");
-        assert!(db.gc_stats() >= 9);
+        assert!(db.stat(Stat::VersionsGc) >= 9);
         assert_eq!(
             db.execute("SELECT v FROM t").unwrap().rows[0][0],
             Value::Int(10),
@@ -2512,13 +2350,17 @@ mod tests {
         for i in 1..=200 {
             db.execute(&format!("UPDATE t SET v = {i}")).unwrap();
         }
-        assert_eq!(db.gc_stats(), 0, "pinned table must not compact");
+        assert_eq!(
+            db.stat(Stat::VersionsGc),
+            0,
+            "pinned table must not compact"
+        );
         drop(rows);
         // The next write-path visit notices the backlog and compacts
         // in-line — no explicit vacuum.
         db.execute("UPDATE t SET v = 201").unwrap();
         assert!(
-            db.gc_stats() > 0,
+            db.stat(Stat::VersionsGc) > 0,
             "UPDATE-heavy workload should trigger in-line compaction"
         );
         assert_eq!(
@@ -2595,9 +2437,9 @@ mod tests {
             "the uncommitted insert must be gone"
         );
         // The reset counts as a rollback and is idempotent.
-        assert_eq!(db.txn_stats().1, 1);
+        assert_eq!(db.stat(Stat::TxnsRolledBack), 1);
         assert!(!db.reset_session());
-        assert_eq!(db.txn_stats().1, 1);
+        assert_eq!(db.stat(Stat::TxnsRolledBack), 1);
         // The snapshot pin went with it: the GC watermark is released.
         db.execute("INSERT INTO t VALUES (2)").unwrap();
         db.execute("UPDATE t SET v = 3").unwrap();
@@ -2607,11 +2449,13 @@ mod tests {
     #[test]
     fn fleet_counters_accumulate_and_report() {
         let db = Database::new();
-        assert_eq!(db.fleet_stats(), (0, 0, 0));
+        let fleet =
+            || [Stat::FleetTasks, Stat::FleetWorkers, Stat::FleetTaskNs].map(|s| db.stat(s));
+        assert_eq!(fleet(), [0, 0, 0]);
         db.note_fleet(100, 4, 5_000);
         db.note_fleet(10, 2, 1_000);
         // Tasks and task time accumulate; the pool width is a high-water mark.
-        assert_eq!(db.fleet_stats(), (110, 4, 6_000));
+        assert_eq!(fleet(), [110, 4, 6_000]);
         for (stat, expect) in [
             ("fleet_tasks", 110),
             ("fleet_workers", 4),

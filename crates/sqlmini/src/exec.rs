@@ -37,6 +37,7 @@ use crate::ast::{
 };
 use crate::batch;
 use crate::cost::IndexChoice;
+use crate::counters::Stat;
 use crate::db::{Database, UndoEntry, WriteTxn};
 use crate::decode::NamedRows;
 use crate::error::{Result, SqlError};
@@ -135,47 +136,58 @@ pub fn order_cmp(a: &Value, b: &Value) -> Ordering {
 }
 
 fn arith(op: BinOpKind, a: &Value, b: &Value) -> Result<Value> {
+    use BinOpKind::*;
     use Value::*;
     if a.is_null() || b.is_null() {
         return Ok(Null);
     }
-    Ok(match (op, a, b) {
-        (BinOpKind::Add, Int(x), Int(y)) => Int(x + y),
-        (BinOpKind::Sub, Int(x), Int(y)) => Int(x - y),
-        (BinOpKind::Mul, Int(x), Int(y)) => Int(x * y),
-        (BinOpKind::Div, Int(x), Int(y)) => {
+    // Integer, timestamp and interval results are checked, so overflow is
+    // an error in every build profile.
+    match (op, a, b) {
+        (Add, Int(x), Int(y)) => in_range(x.checked_add(*y), Int, "bigint"),
+        (Sub, Int(x), Int(y)) => in_range(x.checked_sub(*y), Int, "bigint"),
+        (Mul, Int(x), Int(y)) => in_range(x.checked_mul(*y), Int, "bigint"),
+        (Div, Int(x), Int(y)) => {
             if *y == 0 {
                 return Err(SqlError::Execution("division by zero".into()));
             }
-            Int(x / y)
+            in_range(x.checked_div(*y), Int, "bigint")
         }
         // timestamp/interval arithmetic
-        (BinOpKind::Add, Timestamp(t), Interval(i))
-        | (BinOpKind::Add, Interval(i), Timestamp(t)) => Timestamp(t + i),
-        (BinOpKind::Sub, Timestamp(t), Interval(i)) => Timestamp(t - i),
-        (BinOpKind::Sub, Timestamp(x), Timestamp(y)) => Interval(x - y),
-        (BinOpKind::Add, Interval(x), Interval(y)) => Interval(x + y),
-        (BinOpKind::Sub, Interval(x), Interval(y)) => Interval(x - y),
-        (BinOpKind::Mul, Interval(x), Int(y)) | (BinOpKind::Mul, Int(y), Interval(x)) => {
-            Interval(x * y)
+        (Add, Timestamp(t), Interval(i)) | (Add, Interval(i), Timestamp(t)) => {
+            in_range(t.checked_add(*i), Timestamp, "timestamp")
+        }
+        (Sub, Timestamp(t), Interval(i)) => in_range(t.checked_sub(*i), Timestamp, "timestamp"),
+        (Sub, Timestamp(x), Timestamp(y)) => in_range(x.checked_sub(*y), Interval, "interval"),
+        (Add, Interval(x), Interval(y)) => in_range(x.checked_add(*y), Interval, "interval"),
+        (Sub, Interval(x), Interval(y)) => in_range(x.checked_sub(*y), Interval, "interval"),
+        (Mul, Interval(x), Int(y)) | (Mul, Int(y), Interval(x)) => {
+            in_range(x.checked_mul(*y), Interval, "interval")
         }
         // float-promoting arithmetic
         (op, x, y) => {
             let xf = x.as_f64()?;
             let yf = y.as_f64()?;
-            match op {
-                BinOpKind::Add => Float(xf + yf),
-                BinOpKind::Sub => Float(xf - yf),
-                BinOpKind::Mul => Float(xf * yf),
-                BinOpKind::Div => {
+            Ok(match op {
+                Add => Float(xf + yf),
+                Sub => Float(xf - yf),
+                Mul => Float(xf * yf),
+                Div => {
                     if yf == 0.0 {
                         return Err(SqlError::Execution("division by zero".into()));
                     }
                     Float(xf / yf)
                 }
-            }
+            })
         }
-    })
+    }
+}
+
+/// The result of a checked integer operation as a value built by `make`,
+/// or PostgreSQL's "`what` out of range" error when it overflowed.
+pub(crate) fn in_range(v: Option<i64>, make: fn(i64) -> Value, what: &str) -> Result<Value> {
+    v.map(make)
+        .ok_or_else(|| SqlError::Execution(format!("{what} out of range")))
 }
 
 /// Arithmetic subset of [`crate::ast::BinOp`] (keeps `arith` total).
@@ -247,9 +259,9 @@ fn eval(ctx: &Ctx<'_>, expr: &Expr, env: &Env<'_>, row: &[Value]) -> Result<Valu
             match op {
                 UnOp::Neg => match v {
                     Value::Null => Ok(Value::Null),
-                    Value::Int(i) => Ok(Value::Int(-i)),
+                    Value::Int(i) => in_range(i.checked_neg(), Value::Int, "bigint"),
                     Value::Float(f) => Ok(Value::Float(-f)),
-                    Value::Interval(i) => Ok(Value::Interval(-i)),
+                    Value::Interval(i) => in_range(i.checked_neg(), Value::Interval, "interval"),
                     other => Err(SqlError::Type(format!("cannot negate {other}"))),
                 },
                 UnOp::Not => match v {
@@ -605,7 +617,8 @@ fn grouped_groups<'r>(
     }
     // One memoized evaluation per (group, distinct call) — the
     // observability counter the memoization tests pin down.
-    ctx.db.note_agg_evals((groups.len() * gp.aggs.len()) as u64);
+    ctx.db
+        .bump(Stat::AggEvals, (groups.len() * gp.aggs.len()) as u64);
     Ok(groups
         .into_iter()
         .map(|(key, accs)| (key, accs.into_iter().map(AggAcc::finish).collect()))
@@ -783,7 +796,7 @@ impl Drop for MvccScan<'_> {
         // pins on the shards not yet streamed past are released here
         // too, so dropping a half-consumed cursor promptly re-enables
         // compaction everywhere.
-        self.db.note_scan_rows(self.examined);
+        self.db.bump(Stat::RowsScanned, self.examined);
         let guard = self.handle.read();
         for s in self.unpinned_below..guard.shard_count() {
             guard.unpin_shard(s);
@@ -1285,7 +1298,7 @@ fn hash_join_rows(
     left_slot: usize,
     right_slot: usize,
 ) -> Result<Vec<Row>> {
-    db.note_hash_join();
+    db.bump(Stat::HashJoins, 1);
     let nan_err = || SqlError::Execution("NaN comparison".into());
     let is_nan = |v: &Value| matches!(v, Value::Float(f) if f.is_nan());
     let mut table: HashMap<KeyAtom, Vec<usize>> = HashMap::new();
@@ -1654,7 +1667,7 @@ fn vec_grouped(
             .chain(gp.aggs.iter().flat_map(|c| &c.args)),
     );
     let b = batch::Batch::fill(schema, view, &slots)?;
-    db.note_batch_filled();
+    db.bump(Stat::BatchesFilled, 1);
     let cx = batch::VecCtx {
         params: ctx.params,
         fns: ctx.fns,
@@ -1675,9 +1688,9 @@ fn vec_grouped(
         aggs.push((c.op, arg));
     }
     let groups = batch::grouped_fold(&keys, &aggs, n)?;
-    db.note_vectorized_op();
+    db.bump(Stat::VectorizedOps, 1);
     // Same memoization contract the scalar sweep reports.
-    db.note_agg_evals((groups.len() * gp.aggs.len()) as u64);
+    db.bump(Stat::AggEvals, (groups.len() * gp.aggs.len()) as u64);
     Ok(groups)
 }
 
@@ -1701,7 +1714,7 @@ fn vec_ordered(
     };
     let slots = batch_slots(z.where_clause.iter().chain([key_expr]));
     let b = batch::Batch::fill(schema, view, &slots)?;
-    db.note_batch_filled();
+    db.bump(Stat::BatchesFilled, 1);
     let cx = batch::VecCtx {
         params: ctx.params,
         fns: ctx.fns,
@@ -1717,7 +1730,7 @@ fn vec_ordered(
     } else {
         batch::sort_indices(&key, *desc)
     };
-    db.note_vectorized_op();
+    db.bump(Stat::VectorizedOps, 1);
     let mut out = Vec::with_capacity(order.len());
     for lane in order {
         let r = view[sel[lane as usize] as usize];
@@ -1783,7 +1796,7 @@ fn run_static_select<'db>(
                         match vec_grouped(&ctx, z, gp, &guard.schema, &view) {
                             Ok(groups) => groups,
                             Err(batch::Fallback) => {
-                                db.note_vectorized_fallback();
+                                db.bump(Stat::VectorizedFallbacks, 1);
                                 grouped_groups(
                                     &ctx,
                                     z.where_clause.as_ref(),
@@ -1955,7 +1968,7 @@ fn run_static_select<'db>(
                         ) {
                             Ok(rows) => break 'rows rows,
                             Err(batch::Fallback) => {
-                                db.note_vectorized_fallback();
+                                db.bump(Stat::VectorizedFallbacks, 1);
                                 for r in view {
                                     per_row(&mut keyed, r)?;
                                 }
@@ -2610,6 +2623,6 @@ pub fn execute_stmt_rows<'db>(
         db.check_txn_ok()?;
     }
     let plan = Arc::new(crate::plan::compile(db, stmt).inspect_err(|_| db.abort_txn())?);
-    db.note_plan_built();
+    db.bump(Stat::PlansBuilt, 1);
     execute(db, stmt, &plan, params)
 }

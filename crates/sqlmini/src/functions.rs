@@ -7,14 +7,16 @@
 //!
 //! All built-ins are registered through the typed [`crate::udf::UdfBuilder`]
 //! surface, so arity/type errors are produced centrally and every function
-//! maintains a call counter. Engine counters (statement-cache stats and
-//! those call counts) are queryable through the `pgfmu_stats()`
-//! set-returning function.
+//! maintains a call counter. The engine's [`Stat`] registry and those
+//! call counts are queryable through the `pgfmu_stats()` set-returning
+//! function.
 
 use std::sync::Arc;
 
+use crate::counters::Stat;
 use crate::db::Database;
 use crate::error::{Result, SqlError};
+use crate::exec::in_range;
 use crate::table::QueryResult;
 use crate::udf::ArgKind;
 use crate::value::Value;
@@ -62,7 +64,7 @@ pub(crate) fn eval_intrinsic(op: Intrinsic, args: &[Value]) -> Option<Result<Val
         Intrinsic::Exp => float(f64::exp),
         Intrinsic::Ln => float(f64::ln),
         Intrinsic::Abs => match arg {
-            Value::Int(i) => Some(Ok(Value::Int(i.abs()))),
+            Value::Int(i) => Some(in_range(i.checked_abs(), Value::Int, "bigint")),
             Value::Float(x) => Some(Ok(Value::Float(x.abs()))),
             _ => None,
         },
@@ -93,7 +95,7 @@ pub fn register_builtin_scalars(db: &Database) {
         .arg("x", ArgKind::Any)
         .strict()
         .scalar(|_db, args| match args.value(0) {
-            Value::Int(i) => Ok(Value::Int(i.abs())),
+            Value::Int(i) => in_range(i.checked_abs(), Value::Int, "bigint"),
             v => Ok(Value::Float(v.as_f64()?.abs())),
         });
 
@@ -238,11 +240,14 @@ pub fn register_builtin_table_fns(db: &Database) {
                             "generate_series step cannot be zero".into(),
                         ));
                     }
-                    let mut v = *a;
-                    while (*step > 0 && v <= *b) || (*step < 0 && v >= *b) {
-                        q.rows.push(vec![Value::Int(v)]);
-                        v += step;
-                    }
+                    // The series also ends where the next step would
+                    // leave the integer range, as in PostgreSQL.
+                    let before_end = |x: &i64| if *step > 0 { x <= b } else { x >= b };
+                    let series = std::iter::successors(Some(*a), |x| x.checked_add(*step));
+                    q.rows = series
+                        .take_while(before_end)
+                        .map(|x| vec![Value::Int(x)])
+                        .collect();
                 }
                 [Value::Timestamp(a), Value::Timestamp(b), Value::Interval(step)] => {
                     if *step <= 0 {
@@ -250,11 +255,11 @@ pub fn register_builtin_table_fns(db: &Database) {
                             "generate_series interval must be positive".into(),
                         ));
                     }
-                    let mut t = *a;
-                    while t <= *b {
-                        q.rows.push(vec![Value::Timestamp(t)]);
-                        t += step;
-                    }
+                    let series = std::iter::successors(Some(*a), |t| t.checked_add(*step));
+                    q.rows = series
+                        .take_while(|t| t <= b)
+                        .map(|t| vec![Value::Timestamp(t)])
+                        .collect();
                 }
                 _ => {
                     return Err(SqlError::Type(
@@ -267,52 +272,22 @@ pub fn register_builtin_table_fns(db: &Database) {
             Ok(q)
         });
 
-    // Engine observability: parse/plan/cache counters and per-UDF call
-    // counts as a queryable relation `(stat text, value bigint)`.
+    // Engine observability: every registry statistic, then per-UDF call
+    // counts, as a queryable relation `(stat text, value bigint)`.
     db.udf("pgfmu_stats").table(|db, _args| {
-        let (parses, cache_hits) = db.statement_stats();
-        let (plans_built, plan_cache_hits) = db.plan_stats();
+        let registry = Stat::ALL
+            .iter()
+            .map(|&s| (s.name().to_string(), db.stat(s)));
+        let calls = db
+            .udf_call_counts()
+            .into_iter()
+            .filter(|&(_, count)| count > 0)
+            .map(|(name, count)| (format!("calls.{name}"), count));
         let mut q = QueryResult::new(vec!["stat".into(), "value".into()]);
-        let mut push = |stat: &str, value: u64| {
-            q.rows
-                .push(vec![Value::Text(stat.into()), Value::Int(value as i64)]);
-        };
-        push("parses", parses);
-        push("cache_hits", cache_hits);
-        push("plans_built", plans_built);
-        push("plan_cache_hits", plan_cache_hits);
-        push("agg_evals", db.agg_eval_count());
-        let (rows_scanned, zero_copy, fallbacks) = db.scan_stats();
-        push("rows_scanned", rows_scanned);
-        push("scans_zero_copy", zero_copy);
-        push("scan_fallbacks", fallbacks);
-        push("stmt_cache_size", db.stmt_cache_len() as u64);
-        push("stmt_cache_capacity", db.stmt_cache_capacity() as u64);
-        let (committed, rolled_back) = db.txn_stats();
-        push("txns_committed", committed);
-        push("txns_rolled_back", rolled_back);
-        push("versions_gc", db.gc_stats());
-        let (index_scans, seq_scans, hash_joins, analyze_runs) = db.access_stats();
-        push("index_scans", index_scans);
-        push("seq_scans", seq_scans);
-        push("hash_joins", hash_joins);
-        push("analyze_runs", analyze_runs);
-        let (batches_filled, vectorized_ops, vectorized_fallbacks) = db.vectorized_stats();
-        push("batches_filled", batches_filled);
-        push("vectorized_ops", vectorized_ops);
-        push("vectorized_fallbacks", vectorized_fallbacks);
-        let (fleet_tasks, fleet_workers, fleet_task_ns) = db.fleet_stats();
-        push("fleet_tasks", fleet_tasks);
-        push("fleet_workers", fleet_workers);
-        push("fleet_task_ns", fleet_task_ns);
-        let (shard_count, shard_waits) = db.shard_stats();
-        push("shard_count", shard_count);
-        push("write_shard_waits", shard_waits);
-        for (name, count) in db.udf_call_counts() {
-            if count > 0 {
-                push(&format!("calls.{name}"), count);
-            }
-        }
+        q.rows = registry
+            .chain(calls)
+            .map(|(stat, value)| vec![Value::Text(stat), Value::Int(value as i64)])
+            .collect();
         Ok(q)
     });
 

@@ -79,21 +79,14 @@
 //!
 //! UDFs are declared through the typed [`Database::udf`] builder (argument
 //! signatures, central coercion/arity errors — see [`udf::UdfBuilder`]),
-//! and engine counters are queryable in SQL via the `pgfmu_stats()`
+//! and engine statistics are queryable in SQL via the `pgfmu_stats()`
 //! set-returning function. It yields one `(stat text, value bigint)` row
-//! per counter: `parses` (statements parsed), `cache_hits` (statement-cache
-//! hits), `plans_built` / `plan_cache_hits` (physical plans compiled vs.
-//! executions reusing a statement's shared plan), `agg_evals` (one per
-//! group per distinct aggregate call — the grouping operator's
-//! memoization at work), `index_scans` / `seq_scans` / `hash_joins` /
-//! `analyze_runs` (which access paths the cost-based planner chose, and
-//! how often statistics were collected — `EXPLAIN <stmt>` shows the
-//! choice for one statement), `stmt_cache_size` / `stmt_cache_capacity`
-//! (current statement-cache population and bound), and one `calls.<name>`
-//! row per typed UDF that has been invoked:
+//! per [`Stat`], in registry order (each variant documents its row), then
+//! one `calls.<name>` row per typed UDF that has been invoked.
+//! [`Database::stat`] reads the same values from Rust:
 //!
 //! ```
-//! use pgfmu_sqlmini::Database;
+//! use pgfmu_sqlmini::{Database, Stat};
 //!
 //! let db = Database::new();
 //! db.execute("SELECT sqrt(4.0)").unwrap();
@@ -102,6 +95,7 @@
 //!     .unwrap();
 //! assert!(stats.iter().any(|(s, n)| s == "parses" && *n >= 1));
 //! assert!(stats.iter().any(|(s, n)| s == "calls.sqrt" && *n == 1));
+//! assert!(db.stat(Stat::Parses) >= 1);
 //! // Grouped SQL works over the stats relation like any other:
 //! let n: Vec<i64> = db
 //!     .query_as("SELECT count(*) FROM pgfmu_stats() GROUP BY value >= 0", &[])
@@ -112,6 +106,7 @@
 pub mod ast;
 pub(crate) mod batch;
 pub(crate) mod cost;
+mod counters;
 pub mod db;
 pub mod decode;
 pub mod error;
@@ -126,6 +121,7 @@ pub mod table;
 pub mod udf;
 pub mod value;
 
+pub use counters::Stat;
 pub use db::{Database, Statement, DEFAULT_STMT_CACHE_CAPACITY};
 pub use decode::{FromRow, FromValue, NamedRow, NamedRows, OwnedNamedRow};
 pub use error::{Result, SqlError};

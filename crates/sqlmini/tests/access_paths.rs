@@ -3,7 +3,7 @@
 //! the cost model's scan and join choices, `EXPLAIN` output, hash
 //! equi-joins, `count(DISTINCT …)` and unique-constraint enforcement.
 
-use pgfmu_sqlmini::{Database, Value};
+use pgfmu_sqlmini::{Database, Stat, Value};
 
 /// Render `EXPLAIN <sql>` as one newline-joined string.
 fn plan_of(db: &Database, sql: &str) -> String {
@@ -44,9 +44,9 @@ fn point_lookup_takes_the_index_and_matches_seq_scan() {
     assert!(plan.contains("IndexScan using t_k on t"), "{plan}");
     assert!(plan.contains("Index Cond: (k = 1234)"), "{plan}");
 
-    let (ix_before, _, _, _) = db.access_stats();
+    let ix_before = db.stat(Stat::IndexScans);
     let via_index: Vec<String> = db.query_as("SELECT v FROM t WHERE k = 1234", &[]).unwrap();
-    let (ix_after, _, _, _) = db.access_stats();
+    let ix_after = db.stat(Stat::IndexScans);
     assert_eq!(
         ix_after,
         ix_before + 1,
@@ -58,9 +58,9 @@ fn point_lookup_takes_the_index_and_matches_seq_scan() {
         plan_of(&db, "SELECT v FROM t WHERE k = 1234").contains("SeqScan on t"),
         "disabled index access must fall back to a sequential scan"
     );
-    let (_, seq_before, _, _) = db.access_stats();
+    let seq_before = db.stat(Stat::SeqScans);
     let via_seq: Vec<String> = db.query_as("SELECT v FROM t WHERE k = 1234", &[]).unwrap();
-    let (_, seq_after, _, _) = db.access_stats();
+    let seq_after = db.stat(Stat::SeqScans);
     assert_eq!(seq_after, seq_before + 1);
     assert_eq!(via_index, via_seq);
     assert_eq!(via_index, vec!["r1234".to_string()]);
@@ -109,12 +109,12 @@ fn explain_covers_every_statement_kind() {
 fn index_probe_works_through_bind_parameters() {
     let db = indexed_db(2000);
     let stmt = db.prepare("SELECT v FROM t WHERE k = $1").unwrap();
-    let (ix_before, _, _, _) = db.access_stats();
+    let ix_before = db.stat(Stat::IndexScans);
     let q = stmt.query(&[Value::Int(42)]).unwrap();
     assert_eq!(q.rows[0][0], Value::Text("r42".into()));
     let q = stmt.query(&[Value::Int(7)]).unwrap();
     assert_eq!(q.rows[0][0], Value::Text("r7".into()));
-    let (ix_after, _, _, _) = db.access_stats();
+    let ix_after = db.stat(Stat::IndexScans);
     assert_eq!(ix_after, ix_before + 2, "both executions probe the index");
 }
 
@@ -145,9 +145,9 @@ fn equi_join_hashes_and_matches_nested_loop() {
     let plan = plan_of(&db, sql);
     assert!(plan.contains("HashJoin"), "{plan}");
     assert!(plan.contains("Hash Cond: (big.k = small.k)"), "{plan}");
-    let (_, _, hj_before, _) = db.access_stats();
+    let hj_before = db.stat(Stat::HashJoins);
     let hashed: Vec<(String, f64)> = db.query_as(sql, &[]).unwrap();
-    let (_, _, hj_after, _) = db.access_stats();
+    let hj_after = db.stat(Stat::HashJoins);
     assert_eq!(hj_after, hj_before + 1);
     db.set_hash_join_enabled(false);
     assert!(!plan_of(&db, sql).contains("HashJoin"));
@@ -362,11 +362,11 @@ fn in_place_update_and_delete_keep_the_index_consistent() {
     // in-place overwrite path.
     db.execute("UPDATE t SET k = 5000 WHERE k = 77").unwrap();
     let hits = |k: i64| -> Vec<String> {
-        let (ix_before, _, _, _) = db.access_stats();
+        let ix_before = db.stat(Stat::IndexScans);
         let r = db
             .query_as(&format!("SELECT v FROM t WHERE k = {k}"), &[])
             .unwrap();
-        let (ix_after, _, _, _) = db.access_stats();
+        let ix_after = db.stat(Stat::IndexScans);
         assert_eq!(ix_after, ix_before + 1, "lookup must use the index");
         r
     };
@@ -497,7 +497,7 @@ fn stale_statistics_refresh_automatically() {
     // First plan over the indexed table collects stats without ANALYZE
     // ever running; the tiny table stays sequential.
     assert!(plan_of(&db, "SELECT k FROM t WHERE k = 1").contains("SeqScan"));
-    let (_, _, _, runs) = db.access_stats();
+    let runs = db.stat(Stat::AnalyzeRuns);
     assert!(runs >= 1, "auto-collection must run: {runs}");
     // Grow the table far past the staleness threshold; replanning picks
     // up fresh counts and flips to the index without an explicit ANALYZE.
@@ -573,9 +573,10 @@ fn stored_simulation_rollup_runs_on_the_batch_path() {
                   count(*) AS n, avg(value) AS mean FROM sim GROUP BY 1, 2";
     let plan = plan_of(&db, rollup);
     assert!(plan.contains("Vectorized: true"), "{plan}");
-    let (_, ops_before, _) = db.vectorized_stats();
+    let ops_before = db.stat(Stat::VectorizedOps);
     let q = db.execute(rollup).unwrap();
-    let (_, ops, fallbacks) = db.vectorized_stats();
+    let ops = db.stat(Stat::VectorizedOps);
+    let fallbacks = db.stat(Stat::VectorizedFallbacks);
     assert!(
         ops > ops_before,
         "the rollup did not run a vectorized operator"
@@ -613,12 +614,12 @@ fn runtime_fallback_matches_scalar_errors_and_ticks_the_counter() {
     // Division by zero inside the WHERE clause: the batch kernel
     // declines at run time and the scalar rerun over the same snapshot
     // raises the error — the wording must match the scalar-only path.
-    let (_, _, fb_before) = db.vectorized_stats();
+    let fb_before = db.stat(Stat::VectorizedFallbacks);
     let vectorized_err = db
         .execute("SELECT count(*) FROM f WHERE a / b > 0")
         .unwrap_err()
         .to_string();
-    let (_, _, fb_after) = db.vectorized_stats();
+    let fb_after = db.stat(Stat::VectorizedFallbacks);
     assert!(fb_after > fb_before, "the decline must tick the counter");
     db.set_vectorized_enabled(false);
     let scalar_err = db
@@ -638,7 +639,8 @@ fn text_predicates_run_on_the_batch_path() {
         db.execute(&format!("INSERT INTO notes VALUES ('{tag}', {n})"))
             .unwrap();
     }
-    let (filled_before, _, fb_before) = db.vectorized_stats();
+    let filled_before = db.stat(Stat::BatchesFilled);
+    let fb_before = db.stat(Stat::VectorizedFallbacks);
     let q = db
         .execute("SELECT tag, sum(n) FROM notes WHERE tag >= 'b' GROUP BY tag ORDER BY 1")
         .unwrap();
@@ -649,7 +651,8 @@ fn text_predicates_run_on_the_batch_path() {
             vec![Value::Text("c".into()), Value::Float(4.0)],
         ]
     );
-    let (filled_after, _, fb_after) = db.vectorized_stats();
+    let filled_after = db.stat(Stat::BatchesFilled);
+    let fb_after = db.stat(Stat::VectorizedFallbacks);
     assert!(filled_after > filled_before, "the batch must have filled");
     assert_eq!(fb_after, fb_before, "text compare must not fall back");
 }

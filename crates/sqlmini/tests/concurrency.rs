@@ -9,7 +9,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Barrier;
 
-use pgfmu_sqlmini::{Database, Value};
+use pgfmu_sqlmini::{Database, Stat, Value};
 use threadpool::ThreadPool;
 
 const ROWS: i64 = 64;
@@ -191,7 +191,7 @@ fn index_scans_are_snapshot_consistent_under_writes() {
             });
         }
     });
-    let (index_scans, _, _, _) = db.access_stats();
+    let index_scans = db.stat(Stat::IndexScans);
     assert!(index_scans > 0, "the readers must have probed the index");
     // Quiesced, compacted, and still consistent.
     db.vacuum();
@@ -338,13 +338,13 @@ fn fleet_writers_with_streaming_readers_and_vacuum() {
     // reclaimable by vacuum. A surviving pin would hold the watermark
     // below the churn's commit stamp and free nothing.
     assert!(!db.in_transaction());
-    let gc_before = db.gc_stats();
+    let gc_before = db.stat(Stat::VersionsGc);
     db.execute("BEGIN").unwrap();
     db.execute("UPDATE state SET done = done").unwrap();
     db.execute("COMMIT").unwrap();
     db.vacuum();
     assert!(
-        db.gc_stats() > gc_before,
+        db.stat(Stat::VersionsGc) > gc_before,
         "a leaked transaction pin survived the sweep"
     );
 }
@@ -411,7 +411,8 @@ fn vectorized_scans_are_snapshot_consistent_under_writes() {
             });
         }
     });
-    let (filled, ops, _) = db.vectorized_stats();
+    let filled = db.stat(Stat::BatchesFilled);
+    let ops = db.stat(Stat::VectorizedOps);
     assert!(
         filled > 0 && ops > 0,
         "the readers were expected to take the vectorized path"

@@ -1,9 +1,10 @@
 //! Tier-2 tests for the SQL dialect corners the cross-crate integration
 //! suite relies on: aggregate/plain-column mixing rules, grouped
 //! aggregation (GROUP BY / HAVING), PostgreSQL-style `''` string escaping,
-//! and `LATERAL`-style set-returning functions in `FROM`.
+//! `LATERAL`-style set-returning functions in `FROM`, and integer,
+//! timestamp and interval overflow.
 
-use pgfmu_sqlmini::{Database, QueryResult, Value};
+use pgfmu_sqlmini::{Database, QueryResult, Stat, Value};
 
 fn db_with_measurements() -> Database {
     let db = Database::new();
@@ -518,4 +519,142 @@ fn multi_column_srf_keeps_its_own_column_names() {
         .unwrap();
     assert_eq!(q.rows.len(), 2);
     assert_eq!(q.rows[1], vec![Value::Int(3), Value::Int(4)]);
+}
+
+// --- integer, timestamp and interval overflow ------------------------------
+
+/// The largest interval and timestamp, built by arithmetic (no literal
+/// reaches them).
+const MAX_INTERVAL: &str = "(interval '1 second' * 9223372036854775807)";
+const MAX_TIMESTAMP: &str = "(timestamp '1970-01-01' + interval '1 second' * 9223372036854775807)";
+
+/// A table `t (s text, i int)` holding `i64::MAX` in group `a`.
+fn db_at_the_integer_limit() -> Database {
+    let db = Database::new();
+    db.execute("CREATE TABLE t (s text, i int)").unwrap();
+    db.execute("INSERT INTO t VALUES ('a', 9223372036854775807), ('b', 1)")
+        .unwrap();
+    db
+}
+
+#[test]
+fn overflow_raises_postgres_out_of_range_errors() {
+    let db = db_at_the_integer_limit();
+    let bigint = "execution error: bigint out of range";
+    let timestamp = "execution error: timestamp out of range";
+    let interval = "execution error: interval out of range";
+    let cases = [
+        ("SELECT 9223372036854775807 + 1".to_string(), bigint),
+        ("SELECT (-9223372036854775807 - 1) - 1".into(), bigint),
+        ("SELECT i * 2 FROM t".into(), bigint),
+        ("SELECT (-9223372036854775807 - 1) / -1".into(), bigint),
+        ("SELECT -(-9223372036854775807 - 1)".into(), bigint),
+        ("SELECT abs(-9223372036854775807 - 1)".into(), bigint),
+        (
+            "SELECT '1 hour'::interval * 9223372036854775807".into(),
+            interval,
+        ),
+        (
+            "SELECT 9223372036854775807 * '1 hour'::interval".into(),
+            interval,
+        ),
+        (
+            format!("SELECT {MAX_INTERVAL} + interval '1 second'"),
+            interval,
+        ),
+        (
+            format!("SELECT -{MAX_INTERVAL} - interval '2 seconds'"),
+            interval,
+        ),
+        (
+            format!("SELECT -({MAX_INTERVAL} * -1 - interval '1 second')"),
+            interval,
+        ),
+        (
+            format!("SELECT {MAX_TIMESTAMP} + interval '1 second'"),
+            timestamp,
+        ),
+        (
+            format!("SELECT interval '1 second' + {MAX_TIMESTAMP}"),
+            timestamp,
+        ),
+        (
+            format!("SELECT {MAX_TIMESTAMP} - interval '-1 second'"),
+            timestamp,
+        ),
+        (
+            format!("SELECT {MAX_TIMESTAMP} - timestamp '1969-12-31'"),
+            interval,
+        ),
+    ];
+    for (sql, expected) in &cases {
+        match db.execute(sql) {
+            Err(e) => assert_eq!(e.to_string(), *expected, "{sql}"),
+            Ok(q) => panic!("{sql} returned {:?}", q.rows),
+        }
+    }
+    // The registered UDF behind the native `abs` raises the same error.
+    let err = db.call_scalar("abs", &[Value::Int(i64::MIN)]).unwrap_err();
+    assert_eq!(err.to_string(), bigint);
+    // The limits themselves are still reachable.
+    let q = db.execute("SELECT (-9223372036854775807 - 1) / 1").unwrap();
+    assert_eq!(q.rows[0][0], Value::Int(i64::MIN));
+    let q = db.execute(&format!("SELECT {MAX_INTERVAL}")).unwrap();
+    assert_eq!(q.rows[0][0], Value::Interval(i64::MAX));
+}
+
+#[test]
+fn grouped_overflow_errors_alike_with_and_without_the_batch_path() {
+    let db = db_at_the_integer_limit();
+    let sql = "SELECT s, sum(i + 1) FROM t GROUP BY s";
+    db.set_vectorized_enabled(true);
+    let fallbacks = db.stat(Stat::VectorizedFallbacks);
+    let batch = db.execute(sql).unwrap_err().to_string();
+    assert_eq!(
+        db.stat(Stat::VectorizedFallbacks),
+        fallbacks + 1,
+        "the batch kernel declines the overflowing lane and the scalar re-run raises"
+    );
+    db.set_vectorized_enabled(false);
+    let scalar = db.execute(sql).unwrap_err().to_string();
+    assert_eq!(batch, "execution error: bigint out of range");
+    assert_eq!(batch, scalar);
+    // Ordered output takes the batch path too.
+    db.set_vectorized_enabled(true);
+    let err = db.execute("SELECT i FROM t ORDER BY i * 2").unwrap_err();
+    assert_eq!(err.to_string(), "execution error: bigint out of range");
+}
+
+#[test]
+fn overflowing_update_leaves_the_table_unchanged() {
+    let db = db_at_the_integer_limit();
+    let err = db.execute("UPDATE t SET i = i + 1").unwrap_err();
+    assert_eq!(err.to_string(), "execution error: bigint out of range");
+    let rows: Vec<(String, i64)> = db.query_as("SELECT s, i FROM t ORDER BY s", &[]).unwrap();
+    assert_eq!(rows, vec![("a".into(), i64::MAX), ("b".into(), 1)]);
+}
+
+#[test]
+fn generate_series_stops_at_the_end_of_the_range() {
+    let db = Database::new();
+    let count = |args: &str| -> i64 {
+        let q = db
+            .execute(&format!("SELECT count(*) FROM generate_series({args})"))
+            .unwrap();
+        q.rows[0][0].as_i64().unwrap()
+    };
+    assert_eq!(count("9223372036854775806, 9223372036854775807, 1"), 2);
+    assert_eq!(count("9223372036854775800, 9223372036854775807, 5"), 2);
+    assert_eq!(
+        count("-9223372036854775807, -9223372036854775807 - 1, -1"),
+        2
+    );
+    assert_eq!(
+        count(&format!(
+            "{MAX_TIMESTAMP} - interval '1 hour', {MAX_TIMESTAMP}, interval '1 hour'"
+        )),
+        2
+    );
+    // The two-argument form includes the last integer exactly once.
+    assert_eq!(count("9223372036854775805, 9223372036854775807"), 3);
 }

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 
 use pgfmu_sqlmini::value::{civil_from_days, days_from_civil};
-use pgfmu_sqlmini::{format_timestamp, parse_timestamp, Database, Value};
+use pgfmu_sqlmini::{format_timestamp, parse_timestamp, Database, Stat, Value};
 
 /// Any storable SQL value, biased toward the quoting hazards (quotes,
 /// doubled quotes, SQL-ish punctuation) that literal interpolation has to
@@ -246,10 +246,10 @@ proptest! {
         prop_assert_eq!(&materialized.rows, &streamed);
         prop_assert_eq!(&materialized.rows, &uncached.rows);
         // A second cached execution reuses the shared plan and agrees too.
-        let (built, _) = db.plan_stats();
+        let built = db.stat(Stat::PlansBuilt);
         let again = db.execute(&sql).unwrap();
         prop_assert_eq!(&materialized.rows, &again.rows);
-        prop_assert_eq!(db.plan_stats().0, built, "no re-planning on re-execution");
+        prop_assert_eq!(db.stat(Stat::PlansBuilt), built, "no re-planning on re-execution");
         if let Some(l) = limit {
             prop_assert!(materialized.rows.len() <= l as usize);
         }
@@ -292,12 +292,15 @@ proptest! {
         // `k, v` always are.
         let zero_sql = format!("{head} k, v FROM t WHERE v > {threshold}{tail}");
         let snap_sql = format!("{head} k, v FROM t WHERE opaque(v) > {threshold}{tail}");
-        let (_, z0, f0) = db.scan_stats();
+        let z0 = db.stat(Stat::ScansZeroCopy);
+        let f0 = db.stat(Stat::ScanFallbacks);
         let zero = db.execute(&zero_sql).unwrap();
-        let (_, z1, f1) = db.scan_stats();
+        let z1 = db.stat(Stat::ScansZeroCopy);
+        let f1 = db.stat(Stat::ScanFallbacks);
         prop_assert_eq!(z1, z0 + 1, "safe scan must run zero-copy");
         let snap = db.execute(&snap_sql).unwrap();
-        let (_, z2, f2) = db.scan_stats();
+        let z2 = db.stat(Stat::ScansZeroCopy);
+        let f2 = db.stat(Stat::ScanFallbacks);
         prop_assert_eq!(f2, f1 + 1, "re-entrant predicate must snapshot");
         prop_assert_eq!(z2, z1, "re-entrant predicate must not run zero-copy");
         prop_assert_eq!(&zero.rows, &snap.rows);
@@ -330,18 +333,20 @@ proptest! {
                 insert.query(&[Value::Int(*k), Value::Int(*v)]).unwrap();
             }
         }
-        let (_, z0, f0) = db.scan_stats();
+        let z0 = db.stat(Stat::ScansZeroCopy);
+        let f0 = db.stat(Stat::ScanFallbacks);
         let fast = db
             .execute(&format!("UPDATE a SET v = v + {delta} WHERE k > {threshold}"))
             .unwrap();
-        let (_, z1, _) = db.scan_stats();
+        let z1 = db.stat(Stat::ScansZeroCopy);
         prop_assert_eq!(z1, z0 + 1, "safe UPDATE runs in place");
         let slow = db
             .execute(&format!(
                 "UPDATE b SET v = opaque(v) + {delta} WHERE k > {threshold}"
             ))
             .unwrap();
-        let (_, z2, f2) = db.scan_stats();
+        let z2 = db.stat(Stat::ScansZeroCopy);
+        let f2 = db.stat(Stat::ScanFallbacks);
         prop_assert_eq!(z2, z1, "re-entrant UPDATE snapshots");
         prop_assert!(f2 > f0);
         prop_assert_eq!(&fast.rows, &slow.rows, "same affected-row count");
@@ -745,7 +750,8 @@ proptest! {
             prop_assert_eq!(&vectorized, &scalar, "statement: {}", sql);
         }
         // The sweeps above really exercised the batch path.
-        let (filled, ops, _) = db.vectorized_stats();
+        let filled = db.stat(Stat::BatchesFilled);
+        let ops = db.stat(Stat::VectorizedOps);
         prop_assert!(filled >= 1, "no batch was filled");
         prop_assert!(ops >= 1, "no vectorized operator ran");
     }
@@ -777,7 +783,7 @@ proptest! {
             "SELECT s, b, count(DISTINCT v), count(DISTINCT ts) FROM g GROUP BY s, b",
             "SELECT count(DISTINCT v), count(DISTINCT b) FROM g",
         ];
-        let (_, ops_before, _) = db.vectorized_stats();
+        let ops_before = db.stat(Stat::VectorizedOps);
         for sql in statements {
             let (vectorized, scalar) = sweep_vectorized(&db, sql);
             prop_assert!(vectorized.is_ok(), "statement: {} -> {:?}", sql, vectorized);
@@ -789,7 +795,8 @@ proptest! {
             );
         }
         // Every statement ran on the batch path, none fell back.
-        let (_, ops, fallbacks) = db.vectorized_stats();
+        let ops = db.stat(Stat::VectorizedOps);
+        let fallbacks = db.stat(Stat::VectorizedFallbacks);
         prop_assert_eq!(ops - ops_before, statements.len() as u64);
         prop_assert_eq!(fallbacks, 0);
     }
@@ -817,7 +824,8 @@ proptest! {
             let (vectorized, scalar) = sweep_vectorized(&db, &sql);
             prop_assert_eq!(&vectorized, &scalar, "statement: {}", sql);
         }
-        let (filled, ops, _) = db.vectorized_stats();
+        let filled = db.stat(Stat::BatchesFilled);
+        let ops = db.stat(Stat::VectorizedOps);
         prop_assert!(filled >= 1, "no batch was filled");
         prop_assert!(ops >= 1, "no vectorized operator ran");
     }
@@ -841,7 +849,9 @@ proptest! {
             let (vectorized, scalar) = sweep_vectorized(&db, &sql);
             prop_assert_eq!(&vectorized, &scalar, "statement: {}", sql);
         }
-        let (filled, ops, fallbacks) = db.vectorized_stats();
+        let filled = db.stat(Stat::BatchesFilled);
+        let ops = db.stat(Stat::VectorizedOps);
+        let fallbacks = db.stat(Stat::VectorizedFallbacks);
         prop_assert_eq!((filled, ops, fallbacks), (0, 0, 0));
     }
 }

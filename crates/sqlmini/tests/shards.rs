@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use proptest::prelude::*;
 
-use pgfmu_sqlmini::{params, Database, Value};
+use pgfmu_sqlmini::{params, Database, Stat, Value};
 
 /// Disjoint-range writers (auto-commit, transactional, and rolled-back
 /// rounds) churn one table from four threads while streaming readers and
@@ -94,9 +94,9 @@ fn disjoint_writers_with_readers_and_vacuum() {
     assert_eq!(q.rows[0][0], Value::Int(expect_n));
     assert_eq!(q.rows[0][1], Value::Float(expect_k as f64));
     assert_eq!(q.rows[0][2], Value::Float(2.0 * expect_k as f64));
-    assert_eq!(db.shard_stats().0, 8);
+    assert_eq!(db.stat(Stat::ShardCount), 8);
     assert_eq!(
-        db.txn_stats().0,
+        db.stat(Stat::TxnsCommitted),
         WRITERS as u64 * (PER_WRITER as u64 / 10),
         "every transactional round commits exactly once"
     );
@@ -205,7 +205,11 @@ fn mid_stream_vacuum_never_disturbs_the_cursor_snapshot() {
     assert_eq!(sum, (0..N).sum::<i64>(), "cursor lost or repeated rows");
     // With the cursor gone, the dead versions are fully reclaimable.
     db.vacuum();
-    assert!(db.gc_stats() >= N as u64, "gc_stats {}", db.gc_stats());
+    assert!(
+        db.stat(Stat::VersionsGc) >= N as u64,
+        "versions_gc {}",
+        db.stat(Stat::VersionsGc)
+    );
     assert_eq!(
         db.execute("SELECT count(*) FROM t").unwrap().rows[0][0],
         Value::Int(0)

@@ -32,4 +32,62 @@ mod tests {
             .unwrap();
         assert_eq!(q.rows[0][0], crate::sqlmini::Value::Int(1));
     }
+
+    /// The README's `pgfmu_stats()` table: one row per registry statistic,
+    /// then the per-UDF call counters.
+    fn stats_table() -> String {
+        let mut table = String::from("| `stat` | Meaning |\n|---|---|\n");
+        for s in crate::sqlmini::Stat::ALL {
+            table += &format!("| `{}` | {} |\n", s.name(), s.doc());
+        }
+        table + "| `calls.<name>` | Invocations of each typed UDF, e.g. `calls.fmu_simulate`. |\n"
+    }
+
+    #[test]
+    fn readme_stats_table_matches_the_registry() {
+        let table = stats_table();
+        assert!(
+            include_str!("../README.md").contains(&table),
+            "README.md's pgfmu_stats() table is out of date; replace it with:\n\n{table}"
+        );
+    }
+
+    #[test]
+    fn pgfmu_stats_rows_keep_their_names_and_order() {
+        // Clients (the benchmark among them) read these rows by name, so
+        // renaming or reordering one changes the published surface.
+        let expected = [
+            "parses",
+            "cache_hits",
+            "plans_built",
+            "plan_cache_hits",
+            "agg_evals",
+            "rows_scanned",
+            "scans_zero_copy",
+            "scan_fallbacks",
+            "stmt_cache_size",
+            "stmt_cache_capacity",
+            "txns_committed",
+            "txns_rolled_back",
+            "versions_gc",
+            "index_scans",
+            "seq_scans",
+            "hash_joins",
+            "analyze_runs",
+            "batches_filled",
+            "vectorized_ops",
+            "vectorized_fallbacks",
+            "fleet_tasks",
+            "fleet_workers",
+            "fleet_task_ns",
+            "shard_count",
+            "write_shard_waits",
+        ];
+        let db = crate::sqlmini::Database::new();
+        db.execute("SELECT sqrt(4.0)").unwrap();
+        let rows: Vec<String> = db.query_as("SELECT stat FROM pgfmu_stats()", &[]).unwrap();
+        assert_eq!(rows[..expected.len()], expected);
+        // Then one `calls.<name>` row per UDF called so far, sorted by name.
+        assert_eq!(rows[expected.len()..], ["calls.pgfmu_stats", "calls.sqrt"]);
+    }
 }
