@@ -13,7 +13,8 @@
 //!
 //! `bench` times the SQL hot paths (parse, cached plan execution, `$n`
 //! binds, the zero-copy scan paths — streamed vs materialized, ordered,
-//! in-place UPDATE/DELETE — the grouped rollup vs. its client-side fold,
+//! UPDATE/DELETE under the write guard — the grouped rollup vs. its
+//! client-side fold,
 //! a concurrent read-while-ingest workload that the pre-MVCC engine
 //! rejected outright, the access-path subsystem — indexed point/range
 //! lookups vs sequential scans on a 100 k-row table and the hash join
@@ -31,10 +32,29 @@
 //! `--out` path. The default lies in the ignored build directory, so a
 //! run leaves the tracked tree unchanged; the committed `BENCH_PR*.json`
 //! files are earlier runs kept as a record.
+//!
+//! An unknown experiment name or flag, or a flag missing its value,
+//! prints the usage and exits with status 2.
 
 use pgfmu_bench::report::{fmt_secs, render};
 use pgfmu_bench::setup::{bench_session, ModelKind, ALL_MODELS};
 use pgfmu_bench::{fig6, fig7, fig8, grouped, madlib, table1, table2, table7, table8, Profile};
+
+/// Every experiment name `repro` accepts, in run order.
+const EXPERIMENTS: &[&str] = &[
+    "table1", "table2", "table3", "table4", "table7", "table8", "fig6", "fig7", "fig8", "madlib",
+    "grouped", "bench",
+];
+
+/// Report a bad command line with the usage and exit with status 2.
+fn usage_error(problem: &str) -> ! {
+    eprintln!(
+        "repro: {problem}\nusage: repro [EXPERIMENT…] [--full] [--instances N] [--out PATH]\n\
+         EXPERIMENT: {}",
+        EXPERIMENTS.join(" ")
+    );
+    std::process::exit(2);
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -48,20 +68,17 @@ fn main() {
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--instances" => {
-                if let Some(n) = it.next().and_then(|v| v.parse::<usize>().ok()) {
-                    profile.mi_instances = n;
-                }
-            }
+            "--full" => {}
+            "--instances" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
+                Some(n) => profile.mi_instances = n,
+                None => usage_error("--instances needs a count"),
+            },
             "--out" => match it.next() {
                 Some(path) => out = path,
-                None => {
-                    eprintln!("repro: --out needs a path");
-                    std::process::exit(2);
-                }
+                None => usage_error("--out needs a path"),
             },
-            flag if flag.starts_with("--") => {}
-            name => wanted.push(name),
+            name if EXPERIMENTS.contains(&name) => wanted.push(name),
+            other => usage_error(&format!("unknown experiment or flag '{other}'")),
         }
     }
     let run_all = wanted.is_empty();
@@ -310,10 +327,11 @@ fn run_bench_json(path: &str) {
             db.execute("DELETE FROM scratch").unwrap();
         }),
     );
-    // In-place DML: the predicate (and SET expressions) evaluate under
-    // one write guard; only matching rows are touched, by index. The
-    // UPDATE is idempotent and the DELETE predicate never matches, so
-    // every sample sees the same table.
+    // DML under the write guard: the predicate (and SET expressions)
+    // evaluate over borrowed rows, then each match is ended and, for the
+    // UPDATE, its successor appended; the write path's GC reclaims the
+    // dead versions. The UPDATE is idempotent and the DELETE predicate
+    // never matches, so every sample sees the same rows.
     db.execute("INSERT INTO scratch SELECT ts, x, u FROM m")
         .unwrap();
     let upd = db
@@ -400,11 +418,10 @@ fn run_bench_json(path: &str) {
                     // run 0 is the warm-up
                     out.push(t0.elapsed().as_nanos() as f64);
                 }
-                // Transactional cleanup: an auto-commit DELETE takes the
-                // in-place fast path and physically removes rows without
-                // ever creating garbage, so wrap it in a transaction to
-                // leave real dead versions for vacuum — the footer's
-                // versions_gc figure comes from here.
+                // Transactional cleanup: a transaction never compacts
+                // in-line, so the DELETE leaves its dead versions for
+                // the vacuum below — the footer's versions_gc figure
+                // comes from here.
                 db.execute("BEGIN").unwrap();
                 db.execute("DELETE FROM ingest").unwrap();
                 db.execute("COMMIT").unwrap();

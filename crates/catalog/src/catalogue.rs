@@ -7,8 +7,10 @@
 use std::fmt;
 use std::sync::Arc;
 
+use std::collections::HashMap;
+
 use pgfmu_fmi::{Causality, FmiError, Fmu, FmuInstance, Variability};
-use pgfmu_sqlmini::{Database, SqlError, Value};
+use pgfmu_sqlmini::{params, Database, SqlError, Value};
 
 use crate::storage::FmuStorage;
 use crate::uuid::Uuid;
@@ -90,18 +92,6 @@ pub struct InstanceVariableRow {
     pub max_value: Option<f64>,
 }
 
-/// Escape a string for inclusion in a SQL literal.
-fn q(s: &str) -> String {
-    s.replace('\'', "''")
-}
-
-fn opt_to_sql(v: Option<f64>) -> String {
-    match v {
-        Some(x) => format!("{x:?}"),
-        None => "NULL".into(),
-    }
-}
-
 fn value_to_opt(v: &Value) -> Option<f64> {
     v.as_f64().ok()
 }
@@ -164,28 +154,34 @@ impl ModelCatalog {
         }
         let uuid = Uuid::new_v4();
         let de = fmu.description.default_experiment;
-        self.db.execute(&format!(
-            "INSERT INTO model VALUES ('{uuid}', '{}', '{}', {}, {}, {}, {})",
-            q(fmu.name()),
-            q(&fmu.description.description),
-            de.start_time,
-            de.stop_time,
-            de.step_size,
-            de.tolerance
-        ))?;
+        self.db.query(
+            "INSERT INTO model VALUES ($1, $2, $3, $4, $5, $6, $7)",
+            params![
+                uuid.to_string(),
+                fmu.name(),
+                fmu.description.description.as_str(),
+                de.start_time,
+                de.stop_time,
+                de.step_size,
+                de.tolerance
+            ],
+        )?;
         for v in &fmu.description.variables {
-            self.db.execute(&format!(
-                "INSERT INTO modelvariable VALUES ('{uuid}', '{}', '{}', '{}', '{}', {}, {}, {}, '{}', '{}')",
-                q(&v.name),
-                v.causality.as_str(),
-                v.var_type.as_str(),
-                v.variability.as_str(),
-                opt_to_sql(v.start),
-                opt_to_sql(v.min),
-                opt_to_sql(v.max),
-                q(&v.unit),
-                q(&v.description)
-            ))?;
+            self.db.query(
+                "INSERT INTO modelvariable VALUES ($1, $2, $3, $4, $5, $6, $7, $8, $9, $10)",
+                params![
+                    uuid.to_string(),
+                    v.name.as_str(),
+                    v.causality.as_str(),
+                    v.var_type.as_str(),
+                    v.variability.as_str(),
+                    v.start,
+                    v.min,
+                    v.max,
+                    v.unit.as_str(),
+                    v.description.as_str()
+                ],
+            )?;
         }
         self.storage.store(uuid, fmu)?;
         Ok(uuid)
@@ -193,10 +189,9 @@ impl ModelCatalog {
 
     /// Look up a model UUID by model (class) name.
     pub fn find_model_by_name(&self, name: &str) -> Result<Option<Uuid>> {
-        let qres = self.db.execute(&format!(
-            "SELECT modelid FROM model WHERE name = '{}'",
-            q(name)
-        ))?;
+        let qres = self
+            .db
+            .query("SELECT modelid FROM model WHERE name = $1", params![name])?;
         match qres.rows.first() {
             None => Ok(None),
             Some(row) => {
@@ -222,17 +217,17 @@ impl ModelCatalog {
         if !self.storage.contains(uuid) {
             return Err(CatalogError::UnknownModel(uuid.to_string()));
         }
-        self.db
-            .execute(&format!("DELETE FROM model WHERE modelid = '{uuid}'"))?;
-        self.db.execute(&format!(
-            "DELETE FROM modelvariable WHERE modelid = '{uuid}'"
-        ))?;
-        self.db.execute(&format!(
-            "DELETE FROM modelinstance WHERE modelid = '{uuid}'"
-        ))?;
-        self.db.execute(&format!(
-            "DELETE FROM modelinstancevalues WHERE modelid = '{uuid}'"
-        ))?;
+        for table in [
+            "model",
+            "modelvariable",
+            "modelinstance",
+            "modelinstancevalues",
+        ] {
+            self.db.query(
+                &format!("DELETE FROM {table} WHERE modelid = $1"),
+                params![uuid.to_string()],
+            )?;
+        }
         self.storage.delete(uuid)?;
         Ok(())
     }
@@ -269,9 +264,10 @@ impl ModelCatalog {
                 // pgFMU-generated identifier: <ModelName>Instance<n>.
                 let count = self
                     .db
-                    .execute(&format!(
-                        "SELECT count(*) FROM modelinstance WHERE modelid = '{uuid}'"
-                    ))?
+                    .query(
+                        "SELECT count(*) FROM modelinstance WHERE modelid = $1",
+                        params![uuid.to_string()],
+                    )?
                     .rows[0][0]
                     .as_i64()
                     .map_err(CatalogError::Sql)?;
@@ -285,20 +281,18 @@ impl ModelCatalog {
                 }
             }
         };
-        self.db.execute(&format!(
-            "INSERT INTO modelinstance VALUES ('{}', '{uuid}')",
-            q(&id)
-        ))?;
+        self.db.query(
+            "INSERT INTO modelinstance VALUES ($1, $2)",
+            params![id.as_str(), uuid.to_string()],
+        )?;
         // Seed per-instance values for parameters and states from the
         // model's declared start values.
         for v in &fmu.description.variables {
             if matches!(v.causality, Causality::Parameter | Causality::Local) {
-                self.db.execute(&format!(
-                    "INSERT INTO modelinstancevalues VALUES ('{uuid}', '{}', '{}', {})",
-                    q(&id),
-                    q(&v.name),
-                    opt_to_sql(v.start)
-                ))?;
+                self.db.query(
+                    "INSERT INTO modelinstancevalues VALUES ($1, $2, $3, $4)",
+                    params![uuid.to_string(), id.as_str(), v.name.as_str(), v.start],
+                )?;
             }
         }
         Ok(id)
@@ -318,19 +312,19 @@ impl ModelCatalog {
 
     /// Does an instance exist?
     pub fn instance_exists(&self, instance_id: &str) -> Result<bool> {
-        let qres = self.db.execute(&format!(
-            "SELECT count(*) FROM modelinstance WHERE instanceid = '{}'",
-            q(instance_id)
-        ))?;
+        let qres = self.db.query(
+            "SELECT count(*) FROM modelinstance WHERE instanceid = $1",
+            params![instance_id],
+        )?;
         Ok(qres.rows[0][0].as_i64().map_err(CatalogError::Sql)? > 0)
     }
 
     /// The parent model UUID of an instance.
     pub fn instance_model(&self, instance_id: &str) -> Result<Uuid> {
-        let qres = self.db.execute(&format!(
-            "SELECT modelid FROM modelinstance WHERE instanceid = '{}'",
-            q(instance_id)
-        ))?;
+        let qres = self.db.query(
+            "SELECT modelid FROM modelinstance WHERE instanceid = $1",
+            params![instance_id],
+        )?;
         match qres.rows.first() {
             None => Err(CatalogError::UnknownInstance(instance_id.to_string())),
             Some(row) => {
@@ -357,14 +351,12 @@ impl ModelCatalog {
         if !self.instance_exists(instance_id)? {
             return Err(CatalogError::UnknownInstance(instance_id.to_string()));
         }
-        self.db.execute(&format!(
-            "DELETE FROM modelinstance WHERE instanceid = '{}'",
-            q(instance_id)
-        ))?;
-        self.db.execute(&format!(
-            "DELETE FROM modelinstancevalues WHERE instanceid = '{}'",
-            q(instance_id)
-        ))?;
+        for table in ["modelinstance", "modelinstancevalues"] {
+            self.db.query(
+                &format!("DELETE FROM {table} WHERE instanceid = $1"),
+                params![instance_id],
+            )?;
+        }
         Ok(())
     }
 
@@ -375,11 +367,11 @@ impl ModelCatalog {
         if !self.instance_exists(instance_id)? {
             return Err(CatalogError::UnknownInstance(instance_id.to_string()));
         }
-        let qres = self.db.execute(&format!(
+        let qres = self.db.query(
             "SELECT varname, value FROM modelinstancevalues \
-             WHERE instanceid = '{}' ORDER BY varname",
-            q(instance_id)
-        ))?;
+             WHERE instanceid = $1 ORDER BY varname",
+            params![instance_id],
+        )?;
         Ok(qres
             .rows
             .iter()
@@ -404,12 +396,11 @@ impl ModelCatalog {
                 reason: "only parameters and states hold instance values".into(),
             }));
         }
-        let n = self.db.execute(&format!(
-            "UPDATE modelinstancevalues SET value = {value:?} \
-             WHERE instanceid = '{}' AND varname = '{}'",
-            q(instance_id),
-            q(var)
-        ))?;
+        let n = self.db.query(
+            "UPDATE modelinstancevalues SET value = $1 \
+             WHERE instanceid = $2 AND varname = $3",
+            params![value, instance_id, var],
+        )?;
         debug_assert_eq!(n.rows[0][0], Value::Int(1));
         Ok(())
     }
@@ -433,15 +424,15 @@ impl ModelCatalog {
     /// so they live in `ModelVariable` and affect every instance.
     pub fn set_bound(&self, instance_id: &str, var: &str, bound: Bound, value: f64) -> Result<()> {
         let uuid = self.instance_model(instance_id)?;
-        let column = match bound {
-            Bound::Min => "minvalue",
-            Bound::Max => "maxvalue",
+        let sql = match bound {
+            Bound::Min => {
+                "UPDATE modelvariable SET minvalue = $1 WHERE modelid = $2 AND varname = $3"
+            }
+            Bound::Max => {
+                "UPDATE modelvariable SET maxvalue = $1 WHERE modelid = $2 AND varname = $3"
+            }
         };
-        let n = self.db.execute(&format!(
-            "UPDATE modelvariable SET {column} = {value:?} \
-             WHERE modelid = '{uuid}' AND varname = '{}'",
-            q(var)
-        ))?;
+        let n = self.db.query(sql, params![value, uuid.to_string(), var])?;
         if n.rows[0][0] == Value::Int(0) {
             return Err(CatalogError::UnknownVariable(var.to_string()));
         }
@@ -463,24 +454,33 @@ impl ModelCatalog {
         Ok(())
     }
 
-    /// The `fmu_variables` rows: meta-data joined with instance values.
+    /// The `fmu_variables` rows: meta-data joined with instance values,
+    /// in the model's declaration order. (Scan order would drift: an
+    /// UPDATE appends its successor version, so an updated row moves to
+    /// the end of an unordered scan.)
     pub fn variables(&self, instance_id: &str) -> Result<Vec<InstanceVariableRow>> {
         let uuid = self.instance_model(instance_id)?;
-        let qres = self.db.execute(&format!(
-            "SELECT v.varname, v.vartype, v.minvalue, v.maxvalue \
-             FROM modelvariable v WHERE v.modelid = '{uuid}'"
-        ))?;
-        let values: std::collections::HashMap<String, f64> =
-            self.instance_values(instance_id)?.into_iter().collect();
-        qres.rows
+        let fmu = self.model_fmu(uuid)?;
+        let qres = self.db.query(
+            "SELECT varname, vartype, minvalue, maxvalue FROM modelvariable WHERE modelid = $1",
+            params![uuid.to_string()],
+        )?;
+        let meta: HashMap<&str, &[Value]> = qres
+            .rows
             .iter()
-            .map(|r| {
-                let var_name = r[0].as_str().map_err(CatalogError::Sql)?.to_string();
+            .filter_map(|r| Some((r[0].as_str().ok()?, r.as_slice())))
+            .collect();
+        let values: HashMap<String, f64> = self.instance_values(instance_id)?.into_iter().collect();
+        fmu.description
+            .variables
+            .iter()
+            .filter_map(|v| meta.get(v.name.as_str()).map(|r| (v, r)))
+            .map(|(v, r)| {
                 Ok(InstanceVariableRow {
                     instance_id: instance_id.to_string(),
-                    var_name: var_name.clone(),
+                    var_name: v.name.clone(),
                     var_type: r[1].as_str().map_err(CatalogError::Sql)?.to_string(),
-                    value: values.get(&var_name).copied(),
+                    value: values.get(&v.name).copied(),
                     min_value: value_to_opt(&r[2]),
                     max_value: value_to_opt(&r[3]),
                 })
@@ -517,10 +517,10 @@ impl ModelCatalog {
     pub fn fmu_for_estimation(&self, instance_id: &str) -> Result<Arc<Fmu>> {
         let uuid = self.instance_model(instance_id)?;
         let fmu = self.model_fmu(uuid)?;
-        let qres = self.db.execute(&format!(
-            "SELECT varname, minvalue, maxvalue FROM modelvariable \
-             WHERE modelid = '{uuid}'"
-        ))?;
+        let qres = self.db.query(
+            "SELECT varname, minvalue, maxvalue FROM modelvariable WHERE modelid = $1",
+            params![uuid.to_string()],
+        )?;
         let mut description = fmu.description.clone();
         for r in &qres.rows {
             let name = r[0].as_str().map_err(CatalogError::Sql)?;

@@ -134,6 +134,56 @@ fn set_initial_min_max_get_and_reset() {
 }
 
 #[test]
+fn non_finite_values_round_trip_through_the_catalogue() {
+    // The catalogue binds its values: NaN and ±infinity must never be
+    // spelled into SQL text, where they would lex as column names.
+    let s = PgFmu::new().unwrap();
+    s.execute("SELECT fmu_create('HP1', 'i')").unwrap();
+    for text in ["NaN", "Infinity", "-Infinity"] {
+        for udf in ["fmu_set_initial", "fmu_set_minimum", "fmu_set_maximum"] {
+            s.execute(&format!("SELECT {udf}('i', 'Cp', '{text}'::float)"))
+                .unwrap();
+        }
+        let want: f64 = text.parse().unwrap();
+        let same = |v: &Value| {
+            let got = v.as_f64().unwrap();
+            got == want || (got.is_nan() && want.is_nan())
+        };
+        let get = s.execute("SELECT * FROM fmu_get('i', 'Cp')").unwrap();
+        let listed = s
+            .execute(
+                "SELECT initialvalue, minvalue, maxvalue FROM fmu_variables('i') AS f \
+                 WHERE f.varname = 'Cp'",
+            )
+            .unwrap();
+        for row in [&get.rows[0], &listed.rows[0]] {
+            assert!(row.iter().all(same), "{text}: {row:?}");
+        }
+    }
+}
+
+#[test]
+fn fmu_variables_keep_declaration_order_after_updates() {
+    let s = PgFmu::new().unwrap();
+    s.execute("SELECT fmu_create('HP1', 'i')").unwrap();
+    let names = || -> Vec<String> {
+        let q = s.execute("SELECT varname FROM fmu_variables('i')").unwrap();
+        q.rows.iter().map(|r| r[0].to_string()).collect()
+    };
+    let declared = ["Cp", "R", "P", "eta", "theta_a", "x", "u", "y"];
+    assert_eq!(names(), declared);
+    // An updated catalogue row moves to the end of an unordered scan;
+    // the listing must not follow it.
+    s.execute("BEGIN").unwrap();
+    s.execute("SELECT fmu_set_minimum('i', 'R', 0.5)").unwrap();
+    s.execute("COMMIT").unwrap();
+    assert_eq!(names(), declared);
+    s.execute("SELECT fmu_set_maximum('i', 'Cp', 9.0)").unwrap();
+    s.execute("SELECT fmu_set_initial('i', 'P', 2.0)").unwrap();
+    assert_eq!(names(), declared);
+}
+
+#[test]
 fn delete_instance_and_model() {
     let s = PgFmu::new().unwrap();
     s.execute("SELECT fmu_create('HP1', 'a')").unwrap();

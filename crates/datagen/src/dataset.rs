@@ -109,7 +109,8 @@ impl Dataset {
 /// Hourly timestamp grid starting at a civil date, `n` samples,
 /// `step_minutes` apart.
 pub fn timestamp_grid(y: i64, mo: u32, d: u32, h: u32, n: usize, step_minutes: u32) -> Vec<i64> {
-    let t0 = timestamp_from_parts(y, mo, d, h, 0, 0);
+    let t0 =
+        timestamp_from_parts(y, mo, d, h, 0, 0).expect("grid start within the timestamp range");
     (0..n)
         .map(|i| t0 + (i as i64) * (step_minutes as i64) * 60)
         .collect()

@@ -33,7 +33,7 @@ use crate::ast::{BinOp, Expr, UnOp};
 use crate::exec::float_key_bits;
 use crate::plan::{AggOp, PlanFn};
 use crate::table::{Row, Schema};
-use crate::value::{DataType, Value};
+use crate::value::{DataType, Value, BIGINT_BOUND};
 
 /// "Re-run this statement on the scalar executor." Carries no payload:
 /// the scalar re-run owns all user-facing results and errors.
@@ -490,11 +490,30 @@ fn cast<'a>(v: Evaled<'a>, ty: DataType) -> VResult<Evaled<'a>> {
         // float → int rule); a cast it rejects falls back for wording.
         Evaled::Const(v) => v.cast_to(ty).map(Evaled::Const).map_err(|_| Fallback),
         Evaled::Col(c) => match (ty, c) {
-            (DataType::Int, ColVec::F64 { data, valid }) => Ok(Evaled::Col(ColVec::I64 {
-                kind: IntKind::Int,
-                data: data.into_iter().map(|f| f.round() as i64).collect(),
-                valid,
-            })),
+            (DataType::Int, ColVec::F64 { data, valid }) => {
+                // One comparison per lane flags NaN and |x| >= 2^63; a
+                // flagged valid lane is `bigint out of range` in the
+                // scalar cast, so the batch declines and the re-run raises.
+                let mut overflow = false;
+                let ints = data
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, f)| {
+                        let r = f.round();
+                        let fits = r.abs() < BIGINT_BOUND;
+                        overflow |= !fits && valid.is_valid(i);
+                        r as i64
+                    })
+                    .collect();
+                if overflow {
+                    return Err(Fallback);
+                }
+                Ok(Evaled::Col(ColVec::I64 {
+                    kind: IntKind::Int,
+                    data: ints,
+                    valid,
+                }))
+            }
             (
                 DataType::Int,
                 c @ ColVec::I64 {

@@ -49,14 +49,14 @@ registry! {
     PlanCacheHits => "plan_cache_hits", "Executions that reused a statement's shared compiled plan — re-running a prepared statement performs no re-planning.";
     AggEvals => "agg_evals", "Aggregate folds performed by the grouping operator: each *distinct* aggregate call counts once per group, however often it appears across select list, HAVING and ORDER BY.";
     RowsScanned => "rows_scanned", "Snapshot-visible source rows examined by table scans (zero-copy or materializing).";
-    ScansZeroCopy => "scans_zero_copy", "Scans that ran directly over a table's version storage — single-table statements whose scan-side expressions cannot re-enter the database (incl. in-place UPDATE/DELETE and the batched streaming cursor).";
+    ScansZeroCopy => "scans_zero_copy", "Scans that ran directly over a table's version storage — single-table statements whose scan-side expressions cannot re-enter the database (incl. UPDATE/DELETE under the write guard and the batched streaming cursor).";
     ScanFallbacks => "scan_fallbacks", "Scans that materialized the visible rows instead: joins, re-entrant expressions, dynamic FROM items. Static-plan materializations clone only the columns the statement reads.";
     StmtCacheSize => "stmt_cache_size", "Statement-cache entries currently held.";
     StmtCacheCapacity => "stmt_cache_capacity", "Statement-cache LRU bound (default 256).";
     TxnsCommitted => "txns_committed", "Explicit transactions ended by a successful `COMMIT`.";
     TxnsRolledBack => "txns_rolled_back", "Explicit transactions undone — by `ROLLBACK`, or by `COMMIT` on an aborted transaction.";
     VersionsGc => "versions_gc", "Dead row versions reclaimed by garbage collection (opportunistic write-path compaction + `vacuum`), bounded by the oldest pinned snapshot.";
-    IndexScans => "index_scans", "Single-table scans that probed a secondary index for their candidate rows (point or range).";
+    IndexScans => "index_scans", "Single-table scans — SELECT, UPDATE and DELETE alike — that probed a secondary index for their candidate rows (point or range).";
     SeqScans => "seq_scans", "Single-table scans that walked every visible row instead — no usable index, a predicate the index cannot serve, or a cost estimate favouring the sweep.";
     HashJoins => "hash_joins", "Equi-joins executed by building a hash table over the smaller side instead of nested-looping the cross product.";
     AnalyzeRuns => "analyze_runs", "Statistics passes, counting both explicit `ANALYZE`/`pgfmu_analyze()` and the planner's automatic refresh of stale tables.";

@@ -948,23 +948,6 @@ impl Database {
         }
     }
 
-    /// True when nothing in the system can ever read below `cts`: no
-    /// transaction has a snapshot pinned before it. Together with the
-    /// written table being unpinned (no live cursors — checked by the
-    /// caller under the table's *write* guard, which excludes new pins)
-    /// this licenses the single-version fast path: an auto-commit
-    /// UPDATE/DELETE may mutate the current version in place instead of
-    /// versioning it, because every statement snapshot is loaded while
-    /// holding the table's guard ([`Database::begin_txn`] closes the one
-    /// unguarded load by registering under this same lock).
-    pub(crate) fn overwrite_safe(&self, cts: u64) -> bool {
-        self.pinned_snapshots
-            .lock()
-            .keys()
-            .next()
-            .is_none_or(|&oldest| oldest >= cts)
-    }
-
     /// Allocate a transaction id for `BEGIN` (ids start at 1).
     fn next_txid(&self) -> u64 {
         self.txid_gen.fetch_add(1, Ordering::SeqCst) + 1
@@ -1058,10 +1041,12 @@ impl Database {
         if txns.contains_key(&thread) {
             return false;
         }
-        // Read the clock *inside* the registry lock: a writer probing
-        // `overwrite_safe` after this either sees the registration, or
-        // took the lock first — in which case this load happens after its
-        // clock bump and the pinned timestamp lands at or above its cts.
+        // Read the clock *inside* the registry lock: a GC pass computing
+        // its watermark (`gc_watermark`) after this either sees the
+        // registration, or took the lock first — in which case this load
+        // happens after its clock read, so the pinned timestamp lands at
+        // or above that watermark and nothing this snapshot can still see
+        // is reclaimed.
         let ts = {
             let mut pins = self.pinned_snapshots.lock();
             let ts = self.clock.load(Ordering::SeqCst);
@@ -1257,7 +1242,7 @@ impl Database {
 
     /// The GC watermark: no live snapshot reads below this timestamp, so
     /// versions dead at or before it are unreachable. Streaming cursors
-    /// and snapshot DML don't register here — they pin their tables
+    /// and copy-out DML don't register here — they pin their tables
     /// against compaction instead.
     pub(crate) fn gc_watermark(&self) -> u64 {
         let pinned = self.pinned_snapshots.lock();
@@ -1988,9 +1973,8 @@ mod tests {
 
     #[test]
     fn in_place_update_is_atomic_on_error() {
-        // Pass 1 (evaluation) fails before pass 2 (mutation) starts: a
-        // division by zero on the *last* matching row must leave every
-        // row untouched.
+        // Every target is evaluated before the first write: a division by
+        // zero on the *last* matching row must leave every row untouched.
         let db = Database::new();
         db.execute("CREATE TABLE t (k int, v float)").unwrap();
         db.execute("INSERT INTO t VALUES (1, 1.0), (2, 2.0), (3, 0.0)")
@@ -2017,8 +2001,8 @@ mod tests {
         db.execute("SELECT x FROM m ORDER BY x LIMIT 2").unwrap(); // zero-copy (eager)
         db.execute("SELECT count(*), avg(x) FROM m").unwrap(); // zero-copy (grouped)
         db.execute("UPDATE m SET y = x * 2.0 WHERE u > 0.0")
-            .unwrap(); // in place
-        db.execute("DELETE FROM m WHERE x > 1e9").unwrap(); // in place
+            .unwrap(); // under the write guard
+        db.execute("DELETE FROM m WHERE x > 1e9").unwrap(); // under the write guard
         let [r1, z1, f1] = scans();
         assert_eq!(z1 - z0, 5);
         assert_eq!(f1, f0, "no snapshot taken by any of the above");
@@ -2316,9 +2300,9 @@ mod tests {
         let db = Database::new();
         db.execute("CREATE TABLE t (v int)").unwrap();
         db.execute("INSERT INTO t VALUES (0)").unwrap();
-        // Transactional updates always append versions (the in-place
-        // overwrite fast path only applies to auto-commit statements),
-        // so each round leaves one dead version for vacuum.
+        // Every UPDATE ends the old version and appends its successor,
+        // and a transaction never compacts in-line, so each round leaves
+        // one dead version for vacuum.
         for i in 1..=10 {
             db.execute("BEGIN").unwrap();
             db.execute(&format!("UPDATE t SET v = {i}")).unwrap();
@@ -2342,9 +2326,9 @@ mod tests {
         let db = Database::with_table_shards(1);
         db.execute("CREATE TABLE t (v int)").unwrap();
         db.execute("INSERT INTO t VALUES (0)").unwrap();
-        // A half-open cursor pins the table: every UPDATE must append a
-        // version (no in-place overwrite), and compaction is deferred.
-        // Enough rounds to cross the opportunistic GC threshold.
+        // A half-open cursor pins the table: every UPDATE appends a
+        // version, and compaction is deferred. Enough rounds to cross
+        // the opportunistic GC threshold.
         let mut rows = db.query_rows("SELECT v FROM t", &[]).unwrap();
         assert!(rows.next().is_some());
         for i in 1..=200 {

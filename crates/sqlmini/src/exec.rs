@@ -21,12 +21,11 @@
 //! (`Database::append_rows`). `INSERT … SELECT` drains its source into a
 //! batch first, so an error anywhere in the source leaves nothing behind.
 //!
-//! Writes are versioned: UPDATE and DELETE end the visible version and
-//! (for UPDATE) append a successor, stamped either with a fresh commit
-//! timestamp (auto-commit) or with the open transaction's id, to be
-//! resolved at `COMMIT`/`ROLLBACK`. The exception is the auto-commit
-//! single-version fast path: when no snapshot or cursor can still read
-//! the old version, UPDATE overwrites it in place and DELETE removes it.
+//! Writes are versioned: UPDATE and DELETE run one routine that ends
+//! each target version and (for UPDATE) appends a successor, stamped
+//! either with a fresh commit timestamp (auto-commit) or with the open
+//! transaction's id, to be resolved at `COMMIT`/`ROLLBACK`. They find
+//! their targets through the same scan and access path as SELECT.
 
 use std::cmp::Ordering;
 use std::collections::{hash_map::Entry, HashMap, HashSet, VecDeque};
@@ -46,8 +45,7 @@ use crate::plan::{
     SelectOps, ZeroScan, ZeroScanKind,
 };
 use crate::table::{
-    rid_pos, rid_shard, Column, QueryResult, Row, Schema, Snapshot, Table, TableView, LIVE,
-    UNCOMMITTED,
+    rid_pos, rid_shard, Column, QueryResult, Rid, Row, Schema, Snapshot, Table, TableView, LIVE,
 };
 use crate::value::Value;
 
@@ -1227,9 +1225,9 @@ fn scan_tables(
     // Hold every distinct table's read guard *simultaneously* (acquired
     // in pointer order — the commit path's lock order) and load one
     // snapshot under them: the projections below are point-in-time
-    // consistent across tables, and an in-place writer (see
-    // `run_update`) can never slip a mutation between this snapshot and
-    // the reads it covers.
+    // consistent across tables, and a writer (which stamps under its
+    // write guard, see `Database::commit_ts`) can never slip a mutation
+    // between this snapshot and the reads it covers.
     let handles: Vec<_> = tables
         .iter()
         .map(|n| db.get_table(n))
@@ -1365,7 +1363,7 @@ fn scan_from(
                 let table = db.get_table(name)?;
                 let (cols, trows) = {
                     let guard = table.read();
-                    // Loaded under the guard so in-place writers cannot
+                    // Loaded under the guard so writers cannot
                     // intervene; set-returning functions interleave and
                     // may themselves write, so a dynamic FROM reads each
                     // table at its own statement-time snapshot.
@@ -1781,17 +1779,18 @@ fn run_static_select<'db>(
                     let cand = probe_access(&ctx, z.access.as_ref(), &guard, &tview)?;
                     db.note_access(cand.is_some());
                     let mut examined = 0u64;
+                    let rows = tview.scan(cand.as_deref(), snap).map(|(_, v)| &v.data);
                     let groups = if z.vectorized {
                         // Vectorized: collect the visible-row view once,
                         // fill a column batch, and fold whole column
                         // slices per group. Any shape the typed kernels
                         // cannot reproduce byte-identically re-runs the
                         // scalar sweep over the same view, under the
-                        // same guard and snapshot.
-                        let view: Vec<&Row> = match &cand {
-                            Some(pos) => tview.visible_at(pos, snap).collect(),
-                            None => tview.visible(snap).collect(),
-                        };
+                        // same guard and snapshot. (`for_each` iterates
+                        // internally: the scan dispatches once, not per
+                        // row as `collect` would.)
+                        let mut view: Vec<&Row> = Vec::new();
+                        rows.for_each(|r| view.push(r));
                         examined = view.len() as u64;
                         match vec_grouped(&ctx, z, gp, &guard.schema, &view) {
                             Ok(groups) => groups,
@@ -1806,20 +1805,12 @@ fn run_static_select<'db>(
                             }
                         }
                     } else {
-                        match &cand {
-                            Some(pos) => grouped_groups(
-                                &ctx,
-                                z.where_clause.as_ref(),
-                                gp,
-                                tview.visible_at(pos, snap).inspect(|_| examined += 1),
-                            )?,
-                            None => grouped_groups(
-                                &ctx,
-                                z.where_clause.as_ref(),
-                                gp,
-                                tview.visible(snap).inspect(|_| examined += 1),
-                            )?,
-                        }
+                        grouped_groups(
+                            &ctx,
+                            z.where_clause.as_ref(),
+                            gp,
+                            rows.inspect(|_| examined += 1),
+                        )?
                     };
                     db.note_scan(examined, true);
                     groups
@@ -1945,6 +1936,7 @@ fn run_static_select<'db>(
                     Ok(())
                 };
                 let rows = 'rows: {
+                    let rows = tview.scan(cand.as_deref(), snap).map(|(_, v)| &v.data);
                     if z.vectorized {
                         // Vectorized: specialized single-key index sort
                         // (or the bounded top-K heap when LIMIT applies)
@@ -1952,10 +1944,8 @@ fn run_static_select<'db>(
                         // rows are projected. A batch the kernels cannot
                         // reproduce re-runs the scalar path over the
                         // same view.
-                        let view: Vec<&Row> = match &cand {
-                            Some(pos) => tview.visible_at(pos, snap).collect(),
-                            None => tview.visible(snap).collect(),
-                        };
+                        let mut view: Vec<&Row> = Vec::new();
+                        rows.for_each(|r| view.push(r));
                         examined = view.len() as u64;
                         match vec_ordered(
                             &ctx,
@@ -1975,19 +1965,9 @@ fn run_static_select<'db>(
                             }
                         }
                     } else {
-                        match &cand {
-                            Some(pos) => {
-                                for r in tview.visible_at(pos, snap) {
-                                    examined += 1;
-                                    per_row(&mut keyed, r)?;
-                                }
-                            }
-                            None => {
-                                for r in tview.visible(snap) {
-                                    examined += 1;
-                                    per_row(&mut keyed, r)?;
-                                }
-                            }
+                        for r in rows {
+                            examined += 1;
+                            per_row(&mut keyed, r)?;
                         }
                     }
                     grouped_tail(keyed, &sp.ops)
@@ -2138,202 +2118,15 @@ fn run_insert<'db>(
     Ok(count_result(n as i64))
 }
 
-/// UPDATE: evaluate the predicate and SET expressions against each
-/// snapshot-visible row, then end the old version and append the new one
-/// under the statement's write stamp. When every expression is
-/// re-entrancy-free (the planned common case) the whole statement runs
-/// under one write guard; re-entrant expressions keep a lock-free
-/// evaluate-then-apply path so UDFs in SET or WHERE may call back into
-/// the database. Either way, a visible version already ended by another
-/// transaction is a first-updater-wins conflict.
-fn run_update<'db>(db: &'db Database, up: &DmlPlan, params: &[Value]) -> Result<Rows<'db>> {
-    let ctx = Ctx {
-        db,
-        params,
-        fns: &up.fns,
-        group: None,
-    };
-    let env = Env {
-        bindings: NO_BINDINGS,
-    };
-    let handle = db.get_table(&up.table)?;
-    let txn = db.write_txn();
-    if let WriteTxn::Txn { .. } = txn {
-        db.txn_pin(&handle);
-    }
-    if up.in_place {
-        let mut guard = handle.write();
-        if !schema_matches(&guard.schema, &up.schema_cols) {
-            return Err(stale_plan(&up.table));
-        }
-        let snap = db.current_snapshot();
-        // Pass 1 (read-only): evaluate the predicate per visible row
-        // and, for hits, the new values against the *old* row. Errors —
-        // including write conflicts — surface before any mutation.
-        let mut pending: Vec<(usize, Vec<Value>)> = Vec::new();
-        let mut examined = 0u64;
-        let set_types: Vec<_> = up
-            .set_idx
-            .iter()
-            .map(|&c| guard.schema.columns[c].dtype)
-            .collect();
-        for (vi, v) in guard.visible_versions(snap) {
-            examined += 1;
-            let r = &v.data;
-            let hit = match &up.where_clause {
-                None => true,
-                Some(p) => is_true(&eval(&ctx, p, &env, r)?)?,
-            };
-            if !hit {
-                continue;
-            }
-            if v.end != LIVE {
-                return Err(serialize_conflict());
-            }
-            let mut vals = Vec::with_capacity(up.sets.len());
-            for (e, &dt) in up.sets.iter().zip(&set_types) {
-                let val = eval(&ctx, e, &env, r)?;
-                vals.push(val.coerce_to(dt)?);
-            }
-            pending.push((vi, vals));
-        }
-        db.note_scan(examined, true);
-        // Unique check, still before any mutation: the candidate rows
-        // are the old rows with the SET columns applied, and the
-        // versions they replace cannot conflict with themselves.
-        if guard.has_unique_index() && !pending.is_empty() {
-            let superseded: Vec<usize> = pending.iter().map(|&(vi, _)| vi).collect();
-            let new_rows: Vec<Row> = pending
-                .iter()
-                .map(|(vi, vals)| {
-                    let mut r = guard.version_data(*vi).clone();
-                    for (v, &c) in vals.iter().zip(&up.set_idx) {
-                        r[c] = v.clone();
-                    }
-                    r
-                })
-                .collect();
-            guard.check_unique(&new_rows, &superseded, txn.txid())?;
-        }
-        // Pass 2: end each hit version and append its successor — or,
-        // when no snapshot below the fresh commit timestamp is live and
-        // no cursor pins this table, overwrite the payloads in place:
-        // the single-version fast path, which creates no garbage.
-        let n = pending.len() as i64;
-        match txn {
-            WriteTxn::Auto => {
-                let cts = db.commit_ts();
-                if !guard.pinned() && db.overwrite_safe(cts) {
-                    for (vi, vals) in pending {
-                        guard.overwrite_version(vi, &up.set_idx, vals);
-                    }
-                } else {
-                    for (vi, vals) in pending {
-                        let mut new_row = guard.version_data(vi).clone();
-                        for (v, &c) in vals.into_iter().zip(&up.set_idx) {
-                            new_row[c] = v;
-                        }
-                        guard.end_version(vi, cts);
-                        guard.push_version(cts, new_row);
-                    }
-                }
-                db.maybe_gc(&mut guard);
-            }
-            WriteTxn::Txn { txid } => {
-                let stamp = UNCOMMITTED | txid;
-                let mut created = Vec::with_capacity(pending.len());
-                let mut ended = Vec::with_capacity(pending.len());
-                for (vi, vals) in pending {
-                    let mut new_row = guard.version_data(vi).clone();
-                    for (v, &c) in vals.into_iter().zip(&up.set_idx) {
-                        new_row[c] = v;
-                    }
-                    guard.end_version(vi, stamp);
-                    ended.push(vi);
-                    created.push(guard.push_version(stamp, new_row));
-                }
-                drop(guard);
-                db.txn_record_write(&handle, created, ended);
-            }
-        }
-        return Ok(count_result(n));
-    }
-    // Re-entrant fallback: evaluation must run without the lock so the
-    // expressions may call back into the database. The visible versions
-    // are copied out with their indices (the pin keeps those indices
-    // stable), evaluated lock-free, and applied under one write guard
-    // with a conflict re-check per version.
-    let _pin = match txn {
-        WriteTxn::Auto => Some(TablePin::new(&handle)),
-        WriteTxn::Txn { .. } => None, // pinned via the txn
-    };
-    let snap = db.current_snapshot();
-    let (dtypes, snapshot) = {
-        let g = handle.read();
-        if !schema_matches(&g.schema, &up.schema_cols) {
-            return Err(stale_plan(&up.table));
-        }
-        let dtypes: Vec<_> = g.schema.columns.iter().map(|c| c.dtype).collect();
-        let view = g.view();
-        let snapshot: Vec<(usize, Row)> = view
-            .visible_versions(snap)
-            .map(|(vi, v)| (vi, v.data.clone()))
-            .collect();
-        db.note_scan(snapshot.len() as u64, false);
-        (dtypes, snapshot)
-    };
-    let mut pending: Vec<(usize, Row)> = Vec::new();
-    for (vi, r) in snapshot {
-        let hit = match &up.where_clause {
-            None => true,
-            Some(p) => is_true(&eval(&ctx, p, &env, &r)?)?,
-        };
-        if !hit {
-            continue;
-        }
-        let mut updated = r.clone();
-        for (e, &i) in up.sets.iter().zip(&up.set_idx) {
-            let v = eval(&ctx, e, &env, &r)?;
-            updated[i] = v.coerce_to(dtypes[i])?;
-        }
-        pending.push((vi, updated));
-    }
-    let n = pending.len() as i64;
-    let mut guard = handle.write();
-    for &(vi, _) in &pending {
-        if guard.version_end(vi) != LIVE {
-            return Err(serialize_conflict());
-        }
-    }
-    if guard.has_unique_index() && !pending.is_empty() {
-        let superseded: Vec<usize> = pending.iter().map(|&(vi, _)| vi).collect();
-        let new_rows: Vec<Row> = pending.iter().map(|(_, r)| r.clone()).collect();
-        guard.check_unique(&new_rows, &superseded, txn.txid())?;
-    }
-    let stamp = db.write_stamp(txn);
-    let mut created = Vec::with_capacity(pending.len());
-    let mut ended = Vec::with_capacity(pending.len());
-    for (vi, new_row) in pending {
-        guard.end_version(vi, stamp);
-        ended.push(vi);
-        created.push(guard.push_version(stamp, new_row));
-    }
-    match txn {
-        WriteTxn::Auto => db.maybe_gc(&mut guard),
-        WriteTxn::Txn { .. } => {
-            drop(guard);
-            db.txn_record_write(&handle, created, ended);
-        }
-    }
-    Ok(count_result(n))
-}
-
-/// DELETE: end the visible version of each matching row under the
-/// statement's write stamp — survivors are never touched, and the dead
-/// versions are reclaimed later by the GC watermark. A re-entrant
-/// predicate falls back to lock-free evaluation over a copied-out
-/// snapshot, applied with a conflict re-check per version.
-fn run_delete<'db>(db: &'db Database, dp: &DmlPlan, params: &[Value]) -> Result<Rows<'db>> {
+/// UPDATE and DELETE (a DELETE is an UPDATE without a SET list). Every
+/// target version is collected first, through the scan SELECT's zero-copy
+/// arms use — index candidates when the plan chose an access path — so
+/// an UPDATE that moves an indexed key never revisits its own successors
+/// and an evaluation error leaves the table untouched. Then, under the
+/// write guard and one write stamp, each target is ended and each UPDATE
+/// successor appended. A target another transaction has already ended
+/// is a first-updater-wins conflict.
+fn run_dml<'db>(db: &'db Database, dp: &DmlPlan, params: &[Value]) -> Result<Rows<'db>> {
     let ctx = Ctx {
         db,
         params,
@@ -2348,98 +2141,92 @@ fn run_delete<'db>(db: &'db Database, dp: &DmlPlan, params: &[Value]) -> Result<
     if let WriteTxn::Txn { .. } = txn {
         db.txn_pin(&handle);
     }
-    if dp.in_place {
-        let mut guard = handle.write();
+    // Targets in scan (ascending rid) order, and the UPDATE successors.
+    let mut ended: Vec<Rid> = Vec::new();
+    let mut successors: Vec<Row> = Vec::new();
+    // The one per-row evaluation: test WHERE, then build the successor —
+    // the old row with each SET value coerced to its column type.
+    let mut visit = |rid: Rid, r: &Row, schema: &Schema| -> Result<()> {
+        if let Some(p) = &dp.where_clause {
+            if !is_true(&eval(&ctx, p, &env, r)?)? {
+                return Ok(());
+            }
+        }
+        if !dp.sets.is_empty() {
+            let mut new = r.clone();
+            for (e, &c) in dp.sets.iter().zip(&dp.set_idx) {
+                new[c] = eval(&ctx, e, &env, r)?.coerce_to(schema.columns[c].dtype)?;
+            }
+            successors.push(new);
+        }
+        ended.push(rid);
+        Ok(())
+    };
+    // The copy-out source holds rids across guard releases; a pin keeps
+    // compaction from renumbering them (a transaction pinned above).
+    let _pin = (!dp.under_guard && txn == WriteTxn::Auto).then(|| TablePin::new(&handle));
+    let mut guard = if dp.under_guard {
+        // Re-entrancy-free: evaluate borrowed rows under the write guard.
+        let guard = handle.write();
         if !schema_matches(&guard.schema, &dp.schema_cols) {
             return Err(stale_plan(&dp.table));
         }
         let snap = db.current_snapshot();
-        let mut hits: Vec<usize> = Vec::new();
+        let view = guard.view();
+        let cand = probe_access(&ctx, dp.access.as_ref(), &guard, &view)?;
+        db.note_access(cand.is_some());
         let mut examined = 0u64;
-        for (vi, v) in guard.visible_versions(snap) {
+        for (rid, v) in view.scan(cand.as_deref(), snap) {
             examined += 1;
-            let hit = match &dp.where_clause {
-                None => true,
-                Some(p) => is_true(&eval(&ctx, p, &env, &v.data)?)?,
-            };
-            if !hit {
-                continue;
-            }
-            if v.end != LIVE {
-                return Err(serialize_conflict());
-            }
-            hits.push(vi);
+            visit(rid, &v.data, &guard.schema)?;
         }
         db.note_scan(examined, true);
-        let n = hits.len() as i64;
-        match txn {
-            WriteTxn::Auto => {
-                let cts = db.commit_ts();
-                if !guard.pinned() && db.overwrite_safe(cts) {
-                    // Single-version fast path: nothing can ever read
-                    // these versions again, so remove them outright.
-                    guard.remove_versions(&hits);
-                } else {
-                    for &vi in &hits {
-                        guard.end_version(vi, cts);
-                    }
-                }
-                db.maybe_gc(&mut guard);
+        drop(view);
+        guard
+    } else {
+        // Re-entrant: copy the candidates out under the read guard, then
+        // evaluate lock-free so UDFs may call back into the database.
+        let (schema, copied) = {
+            let g = handle.read();
+            if !schema_matches(&g.schema, &dp.schema_cols) {
+                return Err(stale_plan(&dp.table));
             }
-            WriteTxn::Txn { txid } => {
-                for &vi in &hits {
-                    guard.end_version(vi, UNCOMMITTED | txid);
-                }
-                drop(guard);
-                db.txn_record_write(&handle, Vec::new(), hits);
-            }
-        }
-        return Ok(count_result(n));
-    }
-    let _pin = match txn {
-        WriteTxn::Auto => Some(TablePin::new(&handle)),
-        WriteTxn::Txn { .. } => None, // pinned via the txn
-    };
-    let snap = db.current_snapshot();
-    let snapshot = {
-        let g = handle.read();
-        if !schema_matches(&g.schema, &dp.schema_cols) {
-            return Err(stale_plan(&dp.table));
-        }
-        let view = g.view();
-        let snapshot: Vec<(usize, Row)> = view
-            .visible_versions(snap)
-            .map(|(vi, v)| (vi, v.data.clone()))
-            .collect();
-        db.note_scan(snapshot.len() as u64, false);
-        snapshot
-    };
-    let mut hits: Vec<usize> = Vec::new();
-    for (vi, r) in snapshot {
-        let hit = match &dp.where_clause {
-            None => true,
-            Some(p) => is_true(&eval(&ctx, p, &env, &r)?)?,
+            let snap = db.current_snapshot();
+            let view = g.view();
+            let cand = probe_access(&ctx, dp.access.as_ref(), &g, &view)?;
+            db.note_access(cand.is_some());
+            let copied: Vec<(Rid, Row)> = view
+                .scan(cand.as_deref(), snap)
+                .map(|(rid, v)| (rid, v.data.clone()))
+                .collect();
+            db.note_scan(copied.len() as u64, false);
+            (g.schema.clone(), copied)
         };
-        if hit {
-            hits.push(vi);
+        for (rid, r) in &copied {
+            visit(*rid, r, &schema)?;
         }
+        handle.write()
+    };
+    if ended.iter().any(|&rid| guard.version_end(rid) != LIVE) {
+        return Err(serialize_conflict());
     }
-    let n = hits.len() as i64;
-    let mut guard = handle.write();
-    for &vi in &hits {
-        if guard.version_end(vi) != LIVE {
-            return Err(serialize_conflict());
-        }
+    if !successors.is_empty() && guard.has_unique_index() {
+        guard.check_unique(&successors, &ended, txn.txid())?;
     }
     let stamp = db.write_stamp(txn);
-    for &vi in &hits {
-        guard.end_version(vi, stamp);
+    for &rid in &ended {
+        guard.end_version(rid, stamp);
     }
+    let created: Vec<Rid> = successors
+        .into_iter()
+        .map(|r| guard.push_version(stamp, r))
+        .collect();
+    let n = ended.len() as i64;
     match txn {
         WriteTxn::Auto => db.maybe_gc(&mut guard),
         WriteTxn::Txn { .. } => {
             drop(guard);
-            db.txn_record_write(&handle, Vec::new(), hits);
+            db.txn_record_write(&handle, created, ended);
         }
     }
     Ok(count_result(n))
@@ -2586,8 +2373,7 @@ pub(crate) fn execute<'db>(
             run_dynamic_select(db, sel, params)
         }
         PhysicalPlan::Insert(ip) => run_insert(db, stmt, ip, params),
-        PhysicalPlan::Update(up) => run_update(db, up, params),
-        PhysicalPlan::Delete(dp) => run_delete(db, dp, params),
+        PhysicalPlan::Update(dp) | PhysicalPlan::Delete(dp) => run_dml(db, dp, params),
         PhysicalPlan::Explain(lines) => {
             let mut q = QueryResult::new(vec!["query plan".into()]);
             for l in lines {

@@ -8,8 +8,8 @@
 //! alike — because probes are always re-checked against the reader's
 //! MVCC [`Snapshot`](crate::table::Snapshot) and its full WHERE clause.
 //! That keeps maintenance purely positional *per shard*: begin/end stamp
-//! changes (commit, rollback, delete) never touch the index; only
-//! operations that add, move or rewrite payloads in that shard do.
+//! changes (commit, rollback, UPDATE, DELETE) never touch the index; only
+//! appends and compaction in that shard do.
 //!
 //! Probe results are therefore a *candidate superset* of the matching
 //! rows, returned in ascending local-position order; the table layer
@@ -140,41 +140,11 @@ impl SecondaryIndex {
         }
     }
 
-    /// Number of distinct keys (for introspection/tests).
-    #[cfg(test)]
-    pub(crate) fn key_count(&self) -> usize {
-        self.map.len()
-    }
-
     /// Add a freshly appended version. `pos` is the end of the heap, so
     /// pushing keeps every per-key vector sorted.
     pub(crate) fn insert(&mut self, pos: usize, value: &Value) {
         if let Some(k) = key_of(value) {
             self.map.entry(k).or_default().push(pos);
-        }
-    }
-
-    /// Move a version between keys after its payload was overwritten in
-    /// place. The position re-inserts in sorted order.
-    pub(crate) fn reindex(&mut self, pos: usize, old: &Value, new: &Value) {
-        let (ok, nk) = (key_of(old), key_of(new));
-        if ok == nk {
-            return;
-        }
-        if let Some(k) = ok {
-            if let Some(v) = self.map.get_mut(&k) {
-                if let Ok(i) = v.binary_search(&pos) {
-                    v.remove(i);
-                }
-                if v.is_empty() {
-                    self.map.remove(&k);
-                }
-            }
-        }
-        if let Some(k) = nk {
-            let v = self.map.entry(k).or_default();
-            let i = v.binary_search(&pos).unwrap_err();
-            v.insert(i, pos);
         }
     }
 
@@ -377,7 +347,7 @@ mod tests {
     }
 
     #[test]
-    fn maintenance_truncate_remove_reindex() {
+    fn maintenance_truncate_and_remove() {
         let mut ix = idx_over(&[Value::Int(1), Value::Int(2), Value::Int(3), Value::Int(2)]);
         ix.truncate(3); // drop position 3
         let all = ix.probe(KeySpace::Num, None, None).unwrap();
@@ -390,13 +360,5 @@ mod tests {
                 .unwrap(),
             vec![1]
         );
-        // Overwrite position 0: 1 → 9.
-        ix.reindex(0, &Value::Int(1), &Value::Int(9));
-        assert_eq!(
-            ix.probe(KeySpace::Num, Some(&Value::Int(9)), Some(&Value::Int(9)))
-                .unwrap(),
-            vec![0]
-        );
-        assert_eq!(ix.key_count(), 2);
     }
 }

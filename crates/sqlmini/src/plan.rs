@@ -203,10 +203,14 @@ pub(crate) struct DmlPlan {
     pub where_clause: Option<Expr>,
     /// Resolved scalar functions referenced by the expressions.
     pub fns: Vec<PlanFn>,
-    /// Every expression is re-entrancy-free: the executor may evaluate
-    /// under the table's write guard and mutate matching rows in place
-    /// instead of snapshotting and rebuilding the table.
-    pub in_place: bool,
+    /// Cost-chosen index access path, exactly as a SELECT with the same
+    /// WHERE clause would probe it (see [`ZeroScan::access`]).
+    pub access: Option<IndexChoice>,
+    /// Every expression is re-entrancy-free: the executor evaluates
+    /// borrowed rows under the table's write guard. Otherwise it copies
+    /// the candidates out under the read guard and evaluates lock-free,
+    /// so UDFs in SET or WHERE may call back into the database.
+    pub under_guard: bool,
 }
 
 /// The operator pipeline of a SELECT after name resolution: filter →
@@ -434,9 +438,9 @@ pub(crate) fn compile(db: &Database, stmt: &Stmt) -> Result<PhysicalPlan> {
 }
 
 /// Shared UPDATE/DELETE compilation: resolve the target schema, the SET
-/// columns/expressions (via `sets_of`) and the WHERE predicate, and
-/// classify whether everything may evaluate under the table's write
-/// guard (no expression can re-enter the database).
+/// columns/expressions (via `sets_of`) and the WHERE predicate, cost out
+/// the access path, and classify whether everything may evaluate under
+/// the table's write guard (no expression can re-enter the database).
 fn compile_dml<'a>(
     db: &Database,
     table: &str,
@@ -473,10 +477,11 @@ fn compile_dml<'a>(
     let where_clause = where_clause
         .map(|w| resolve_cols(w, &env, &mut resolver))
         .transpose()?;
-    let in_place = where_clause
+    let under_guard = where_clause
         .as_ref()
         .is_none_or(|w| scan_safe(w, &resolver.fns))
         && sets.iter().all(|e| scan_safe(e, &resolver.fns));
+    let access = choose_index_access(db, table, where_clause.as_ref());
     Ok((
         DmlPlan {
             fn_names: resolver.names,
@@ -486,7 +491,8 @@ fn compile_dml<'a>(
             sets: Vec::new(),
             where_clause,
             fns: resolver.fns,
-            in_place,
+            access,
+            under_guard,
         },
         set_idx,
         sets,
@@ -628,8 +634,9 @@ fn compile_select(db: &Database, sel: &SelectStmt) -> Result<PhysicalPlan> {
 }
 
 /// Cost out a secondary-index access path for a single-table zero-copy
-/// scan. The scan program keeps the table's full row layout, so sargable
-/// slots are schema column ordinals — exactly what indexes cover.
+/// scan or an UPDATE/DELETE. Both keep the table's full row layout, so
+/// sargable slots are schema column ordinals — exactly what indexes
+/// cover.
 fn choose_index_access(
     db: &Database,
     table: &str,
@@ -1397,6 +1404,51 @@ fn pruned_slot_name(p: &StaticSelectPlan, s: usize) -> String {
     format!("?column{s}?")
 }
 
+/// The scan node of a single-table plan: `IndexScan using … on t` with
+/// its `Index Cond` when an access path was chosen, else `SeqScan on t`,
+/// then the `Filter`. `name` maps the expressions' slots to columns.
+fn render_scan(
+    table: &str,
+    access: Option<&IndexChoice>,
+    filter: Option<&Expr>,
+    name: &dyn Fn(usize) -> String,
+    fns: &[String],
+) -> Vec<String> {
+    let mut lines = match access {
+        Some(a) => {
+            let conds = a
+                .conds
+                .iter()
+                .map(|(c, op, v)| {
+                    format!(
+                        "({} {} {})",
+                        name(*c),
+                        op_str(*op),
+                        render_expr(v, name, fns)
+                    )
+                })
+                .collect::<Vec<_>>()
+                .join(" AND ");
+            vec![
+                format!("IndexScan using {} on {table}", a.index_name),
+                format!("  Index Cond: {conds}"),
+            ]
+        }
+        None => vec![format!("SeqScan on {table}")],
+    };
+    if let Some(w) = filter {
+        lines.push(format!("  Filter: {}", render_expr(w, name, fns)));
+    }
+    lines
+}
+
+/// Name a slot of a table's full column layout.
+fn column_name(cols: &[String], s: usize) -> String {
+    cols.get(s)
+        .cloned()
+        .unwrap_or_else(|| format!("?column{s}?"))
+}
+
 fn render_static(p: &StaticSelectPlan) -> Vec<String> {
     let pruned = |s: usize| pruned_slot_name(p, s);
     let scan = if p.tables.len() == 1 {
@@ -1404,40 +1456,14 @@ fn render_static(p: &StaticSelectPlan) -> Vec<String> {
         match &p.zero {
             Some(z) => {
                 // Zero-copy scan: expressions are in the full layout.
-                let full = |s: usize| {
-                    p.schemas[0]
-                        .get(s)
-                        .cloned()
-                        .unwrap_or_else(|| format!("?column{s}?"))
-                };
-                let mut lines = match &z.access {
-                    Some(a) => {
-                        let conds = a
-                            .conds
-                            .iter()
-                            .map(|(c, op, v)| {
-                                format!(
-                                    "({} {} {})",
-                                    full(*c),
-                                    op_str(*op),
-                                    render_expr(v, &full, &p.ops.fn_names)
-                                )
-                            })
-                            .collect::<Vec<_>>()
-                            .join(" AND ");
-                        vec![
-                            format!("IndexScan using {} on {t}", a.index_name),
-                            format!("  Index Cond: {conds}"),
-                        ]
-                    }
-                    None => vec![format!("SeqScan on {t}")],
-                };
-                if let Some(w) = &z.where_clause {
-                    lines.push(format!(
-                        "  Filter: {}",
-                        render_expr(w, &full, &p.ops.fn_names)
-                    ));
-                }
+                let full = |s: usize| column_name(&p.schemas[0], s);
+                let mut lines = render_scan(
+                    t,
+                    z.access.as_ref(),
+                    z.where_clause.as_ref(),
+                    &full,
+                    &p.ops.fn_names,
+                );
                 lines.push(format!("  Vectorized: {}", z.vectorized));
                 if z.vectorized
                     && matches!(z.kind, ZeroScanKind::Select { .. })
@@ -1451,16 +1477,13 @@ fn render_static(p: &StaticSelectPlan) -> Vec<String> {
                 }
                 lines
             }
-            None => {
-                let mut lines = vec![format!("SeqScan on {t}")];
-                if let Some(w) = &p.ops.where_clause {
-                    lines.push(format!(
-                        "  Filter: {}",
-                        render_expr(w, &pruned, &p.ops.fn_names)
-                    ));
-                }
-                lines
-            }
+            None => render_scan(
+                t,
+                None,
+                p.ops.where_clause.as_ref(),
+                &pruned,
+                &p.ops.fn_names,
+            ),
         }
     } else {
         let children: Vec<String> = p
@@ -1538,16 +1561,14 @@ fn wrap_aggregate(grouped: bool, scan: Vec<String>) -> Vec<String> {
 }
 
 fn render_dml(verb: &str, p: &DmlPlan) -> Vec<String> {
-    let name = |s: usize| {
-        p.schema_cols
-            .get(s)
-            .cloned()
-            .unwrap_or_else(|| format!("?column{s}?"))
-    };
-    let mut scan = vec![format!("SeqScan on {}", p.table)];
-    if let Some(w) = &p.where_clause {
-        scan.push(format!("  Filter: {}", render_expr(w, &name, &p.fn_names)));
-    }
+    let name = |s: usize| column_name(&p.schema_cols, s);
+    let scan = render_scan(
+        &p.table,
+        p.access.as_ref(),
+        p.where_clause.as_ref(),
+        &name,
+        &p.fn_names,
+    );
     let mut lines = vec![format!("{verb} on {}", p.table)];
     lines.extend(indent_child(scan));
     lines

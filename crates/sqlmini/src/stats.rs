@@ -134,9 +134,9 @@ pub(crate) fn analyze_table(table: &Table, snap: Snapshot, mod_count: u64) -> Ta
         mods_at_analyze: mod_count,
     };
     let view = table.view();
-    for row in view.visible(snap) {
+    for (_, version) in view.scan(None, snap) {
         stats.row_count += 1;
-        for (c, v) in row.iter().enumerate() {
+        for (c, v) in version.data.iter().enumerate() {
             let cs = &mut stats.columns[c];
             if v.is_null() {
                 cs.null_count += 1;

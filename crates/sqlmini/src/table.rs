@@ -251,7 +251,7 @@ struct Arena {
     /// (they are counted in `dead`).
     pending: usize,
     /// Highest committed begin stamp ever appended (monotone; may
-    /// overstate after removals, which only makes the quiescence check
+    /// overstate after compaction, which only makes the quiescence check
     /// conservative).
     max_begin: u64,
     /// This shard's slice of each secondary index, ordinal-aligned with
@@ -333,38 +333,6 @@ impl Arena {
         }
     }
 
-    /// Overwrite a version's payload in place (no garbage created).
-    fn overwrite(&mut self, pos: usize, cols: &[usize], vals: Vec<Value>) {
-        for (v, &c) in vals.into_iter().zip(cols) {
-            let old = std::mem::replace(&mut self.versions[pos].data[c], v);
-            let new = &self.versions[pos].data[c];
-            for ix in &mut self.indexes {
-                if ix.column == c {
-                    ix.reindex(pos, &old, new);
-                }
-            }
-        }
-    }
-
-    /// Physically remove the given ascending local positions, renumbering
-    /// the survivors (and every index entry above a removed position).
-    /// The removed versions are current rows, so `dead` is untouched.
-    fn remove(&mut self, sorted: &[usize]) {
-        let mut doomed = sorted.iter().copied().peekable();
-        let mut i = 0usize;
-        self.versions.retain(|_| {
-            let hit = doomed.peek() == Some(&i);
-            if hit {
-                doomed.next();
-            }
-            i += 1;
-            !hit
-        });
-        for ix in &mut self.indexes {
-            ix.remove_renumber(sorted);
-        }
-    }
-
     /// Drop every version no snapshot at or after `watermark` can see,
     /// returning the number reclaimed. The caller has checked pins.
     fn compact(&mut self, watermark: u64) -> usize {
@@ -405,7 +373,7 @@ struct Shard {
     /// shards hold different locks and proceed in parallel.
     arena: RwLock<Arena>,
     /// Holders of local positions that outlive a single guard (streaming
-    /// cursors, open transactions, snapshot DML). Compaction skips a
+    /// cursors, open transactions, copy-out DML). Compaction skips a
     /// shard while it is pinned, because compaction renumbers positions.
     pins: AtomicUsize,
 }
@@ -615,12 +583,6 @@ impl Table {
         self.arena_of(rid).versions[rid_pos(rid)].end
     }
 
-    /// A version's payload.
-    pub(crate) fn version_data(&mut self, rid: Rid) -> &Row {
-        let pos = rid_pos(rid);
-        &self.arena_of(rid).versions[pos].data
-    }
-
     /// Block compaction of every shard while positions are held across
     /// guard releases. Paired with [`Table::unpin`] (or shard-by-shard
     /// [`Table::unpin_shard`] as a cursor drains).
@@ -641,45 +603,6 @@ impl Table {
     /// each shard for compaction as soon as it has streamed past it.
     pub(crate) fn unpin_shard(&self, shard: usize) {
         self.shards[shard].pins.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    /// True when compaction of any shard may renumber positions someone
-    /// still holds.
-    pub(crate) fn pinned(&self) -> bool {
-        self.shards
-            .iter()
-            .any(|s| s.pins.load(Ordering::SeqCst) > 0)
-    }
-
-    /// Overwrite the payload of a version in place — the single-version
-    /// fast path of an auto-commit UPDATE, which creates no garbage. The
-    /// caller must have proven that no snapshot below its commit
-    /// timestamp is live and no cursor pins this table (see
-    /// `Database::overwrite_safe`). `cols`/`vals` are the SET columns;
-    /// any secondary index on a rewritten column moves the version's
-    /// entry to its new key.
-    pub(crate) fn overwrite_version(&mut self, rid: Rid, cols: &[usize], vals: Vec<Value>) {
-        self.arena_of(rid).overwrite(rid_pos(rid), cols, vals);
-        *self.mod_count.get_mut() += 1;
-    }
-
-    /// Physically remove versions by ascending rid — the single-version
-    /// fast path of an auto-commit DELETE. Renumbers each touched arena
-    /// (and every index entry above a removed position), so it demands
-    /// the same proof as [`Table::overwrite_version`].
-    pub(crate) fn remove_versions(&mut self, sorted: &[Rid]) {
-        let mut i = 0usize;
-        while i < sorted.len() {
-            let s = rid_shard(sorted[i]);
-            let mut j = i;
-            while j < sorted.len() && rid_shard(sorted[j]) == s {
-                j += 1;
-            }
-            let local: Vec<usize> = sorted[i..j].iter().map(|&r| rid_pos(r)).collect();
-            self.shards[s].arena.get_mut().remove(&local);
-            i = j;
-        }
-        *self.mod_count.get_mut() += sorted.len() as u64;
     }
 
     /// True when enough garbage has accumulated to be worth a compaction
@@ -774,42 +697,27 @@ impl Table {
         }
     }
 
-    /// Iterate `(rid, version)` pairs visible to `snap` — for DML under
-    /// the outer write guard, which needs the rid to stamp the version
-    /// it supersedes.
-    pub(crate) fn visible_versions(
-        &mut self,
-        snap: Snapshot,
-    ) -> impl Iterator<Item = (Rid, &VersionedRow)> {
-        self.shards.iter_mut().enumerate().flat_map(move |(s, sh)| {
-            let a: &Arena = sh.arena.get_mut();
-            let all = a.all_visible(snap);
-            a.versions
-                .iter()
-                .enumerate()
-                .filter(move |(_, v)| all || v.visible(snap))
-                .map(move |(p, v)| (make_rid(s, p), v))
-        })
-    }
-
     /// Clone the rows visible to `snap` keeping only the given columns,
     /// in `cols` order — the column-pruned snapshot the executor takes
     /// when a scan cannot run zero-copy. Cloning whole rows is the fast
     /// path when every column is read.
     pub(crate) fn project_rows(&self, cols: &[usize], snap: Snapshot) -> Vec<Row> {
         let view = self.view();
+        let rows = view.scan(None, snap).map(|(_, v)| &v.data);
         if cols.len() == self.schema.len() && cols.iter().enumerate().all(|(i, &c)| i == c) {
-            return view.visible(snap).cloned().collect();
+            return rows.cloned().collect();
         }
-        view.visible(snap)
-            .map(|r| cols.iter().map(|&i| r[i].clone()).collect())
+        rows.map(|r| cols.iter().map(|&i| r[i].clone()).collect())
             .collect()
     }
 
     /// Clone every row visible to `snap` — the whole-table snapshot a
     /// self-referencing `INSERT … SELECT` materializes.
     pub(crate) fn snapshot_rows(&self, snap: Snapshot) -> Vec<Row> {
-        self.view().visible(snap).cloned().collect()
+        self.view()
+            .scan(None, snap)
+            .map(|(_, v)| v.data.clone())
+            .collect()
     }
 
     // ---- secondary indexes -------------------------------------------------
@@ -953,47 +861,31 @@ pub(crate) struct TableView<'t> {
 }
 
 impl TableView<'_> {
-    /// Iterate the rows visible to `snap`, in ascending rid order.
-    pub(crate) fn visible(&self, snap: Snapshot) -> impl Iterator<Item = &Row> {
-        self.arenas.iter().flat_map(move |a| {
-            let all = a.all_visible(snap);
-            a.versions
-                .iter()
-                .filter(move |v| all || v.visible(snap))
-                .map(|v| &v.data)
-        })
-    }
-
-    /// Iterate `(rid, version)` pairs visible to `snap` — the read-guard
-    /// analogue of [`Table::visible_versions`].
-    pub(crate) fn visible_versions(
-        &self,
-        snap: Snapshot,
-    ) -> impl Iterator<Item = (Rid, &VersionedRow)> {
-        self.arenas.iter().enumerate().flat_map(move |(s, a)| {
-            let all = a.all_visible(snap);
-            a.versions
-                .iter()
-                .enumerate()
-                .filter(move |(_, v)| all || v.visible(snap))
-                .map(move |(p, v)| (make_rid(s, p), v))
-        })
-    }
-
-    /// Iterate the rows at the given ascending rids that are visible to
-    /// `snap` — the index-scan analogue of [`TableView::visible`]:
-    /// candidates come from an index probe, the snapshot check makes
-    /// them exact.
-    pub(crate) fn visible_at<'a>(
+    /// The one table scan: `(rid, version)` pairs visible to `snap`, in
+    /// ascending rid order. With `cand` — an index probe's ascending
+    /// candidate rids — it walks only those; otherwise every version of
+    /// every shard. SELECT's zero-copy arms, UPDATE, DELETE, the
+    /// snapshot clones and ANALYZE all read through it.
+    pub(crate) fn scan<'a>(
         &'a self,
-        rids: &'a [Rid],
+        cand: Option<&'a [Rid]>,
         snap: Snapshot,
-    ) -> impl Iterator<Item = &'a Row> + 'a {
-        rids.iter().filter_map(move |&r| {
-            let a = self.arenas.get(rid_shard(r))?;
-            let v = a.versions.get(rid_pos(r))?;
-            (a.all_visible(snap) || v.visible(snap)).then_some(&v.data)
-        })
+    ) -> impl Iterator<Item = (Rid, &'a VersionedRow)> + 'a {
+        match cand {
+            Some(rids) => Scan::Probe(rids.iter().filter_map(move |&r| {
+                let a = self.arenas.get(rid_shard(r))?;
+                let v = a.versions.get(rid_pos(r))?;
+                (a.all_visible(snap) || v.visible(snap)).then_some((r, v))
+            })),
+            None => Scan::Seq(self.arenas.iter().enumerate().flat_map(move |(s, a)| {
+                let all = a.all_visible(snap);
+                a.versions
+                    .iter()
+                    .enumerate()
+                    .filter(move |(_, v)| all || v.visible(snap))
+                    .map(move |(p, v)| (make_rid(s, p), v))
+            })),
+        }
     }
 
     /// The version at `rid`, if it exists.
@@ -1019,6 +911,32 @@ impl TableView<'_> {
             out.extend(local.into_iter().map(|p| make_rid(s, p)));
         }
         Some(out)
+    }
+}
+
+/// [`TableView::scan`]'s two walks behind one concrete iterator type, so
+/// the dispatch is a match rather than a boxed call — and, through
+/// `fold`, once per scan rather than once per row.
+enum Scan<P, S> {
+    Probe(P),
+    Seq(S),
+}
+
+impl<T, P: Iterator<Item = T>, S: Iterator<Item = T>> Iterator for Scan<P, S> {
+    type Item = T;
+
+    fn next(&mut self) -> Option<T> {
+        match self {
+            Scan::Probe(p) => p.next(),
+            Scan::Seq(s) => s.next(),
+        }
+    }
+
+    fn fold<B, F: FnMut(B, T) -> B>(self, init: B, f: F) -> B {
+        match self {
+            Scan::Probe(p) => p.fold(init, f),
+            Scan::Seq(s) => s.fold(init, f),
+        }
     }
 }
 
@@ -1258,22 +1176,22 @@ mod tests {
         let old = Snapshot { ts: 4, txid: 0 };
         let new = Snapshot { ts: 5, txid: 0 };
         let own = Snapshot { ts: 4, txid: 9 };
-        assert_eq!(t.view().visible(old).count(), 1);
-        assert_eq!(t.view().visible(new).count(), 2);
+        assert_eq!(t.view().scan(None, old).count(), 1);
+        assert_eq!(t.view().scan(None, new).count(), 2);
         assert_eq!(
-            t.view().visible(own).count(),
+            t.view().scan(None, own).count(),
             2,
             "own pending insert is visible"
         );
         // Delete version i at ts 7: snapshots at or after 7 lose it.
         t.end_version(i, 7);
-        assert_eq!(t.view().visible(Snapshot { ts: 6, txid: 0 }).count(), 2);
-        assert_eq!(t.view().visible(Snapshot { ts: 7, txid: 0 }).count(), 1);
+        assert_eq!(t.view().scan(None, Snapshot { ts: 6, txid: 0 }).count(), 2);
+        assert_eq!(t.view().scan(None, Snapshot { ts: 7, txid: 0 }).count(), 1);
         // Own pending delete hides the row from its owner only.
         t.commit_begin(j, 9, 8);
         t.end_version(j, UNCOMMITTED | 11);
-        assert_eq!(t.view().visible(Snapshot { ts: 8, txid: 11 }).count(), 1);
-        assert_eq!(t.view().visible(Snapshot { ts: 8, txid: 0 }).count(), 2);
+        assert_eq!(t.view().scan(None, Snapshot { ts: 8, txid: 11 }).count(), 1);
+        assert_eq!(t.view().scan(None, Snapshot { ts: 8, txid: 0 }).count(), 2);
     }
 
     #[test]
@@ -1320,8 +1238,8 @@ mod tests {
         // Full-table iteration sees every row once, in rid order.
         let snap = Snapshot { ts: 1, txid: 0 };
         let ids: Vec<i64> = view
-            .visible(snap)
-            .map(|r| match r[0] {
+            .scan(None, snap)
+            .map(|(_, v)| match v.data[0] {
                 Value::Int(i) => i,
                 _ => unreachable!(),
             })
@@ -1348,8 +1266,8 @@ mod tests {
         });
         let view = t.view();
         let mut ids: Vec<i64> = view
-            .visible(Snapshot { ts: 1, txid: 0 })
-            .map(|r| match r[0] {
+            .scan(None, Snapshot { ts: 1, txid: 0 })
+            .map(|(_, v)| match v.data[0] {
                 Value::Int(i) => i,
                 _ => unreachable!(),
             })

@@ -118,7 +118,7 @@ impl Value {
     pub fn as_i64(&self) -> Result<i64> {
         match self {
             Value::Int(i) => Ok(*i),
-            Value::Float(f) if f.fract() == 0.0 => Ok(*f as i64),
+            Value::Float(f) if f.fract() == 0.0 => float_to_bigint(*f),
             other => Err(SqlError::Type(format!("value {other} is not an integer"))),
         }
     }
@@ -148,7 +148,9 @@ impl Value {
             (DataType::Variant, v) => Ok(v.clone()),
             (t, v) if v.data_type() == t => Ok(v.clone()),
             (DataType::Float, Value::Int(i)) => Ok(Value::Float(*i as f64)),
-            (DataType::Int, Value::Float(f)) if f.fract() == 0.0 => Ok(Value::Int(*f as i64)),
+            (DataType::Int, Value::Float(f)) if f.fract() == 0.0 => {
+                Ok(Value::Int(float_to_bigint(*f)?))
+            }
             (DataType::Bool, Value::Int(i)) if *i == 0 || *i == 1 => Ok(Value::Bool(*i == 1)),
             (DataType::Timestamp, Value::Text(s)) => Ok(Value::Timestamp(parse_timestamp(s)?)),
             (DataType::Interval, Value::Text(s)) => Ok(Value::Interval(parse_interval(s)?)),
@@ -167,7 +169,7 @@ impl Value {
             return Ok(Value::Null);
         }
         match (ty, self) {
-            (DataType::Int, Value::Float(f)) => Ok(Value::Int(f.round() as i64)),
+            (DataType::Int, Value::Float(f)) => Ok(Value::Int(float_to_bigint(f.round())?)),
             (DataType::Int, Value::Text(s)) => s
                 .trim()
                 .parse::<i64>()
@@ -185,6 +187,20 @@ impl Value {
             },
             _ => self.coerce_to(ty),
         }
+    }
+}
+
+/// `2^63`, exact in `f64`: the floats a bigint holds are `[-2^63, 2^63)`.
+pub(crate) const BIGINT_BOUND: f64 = 9_223_372_036_854_775_808.0;
+
+/// A float (already rounded or integral) as a bigint, or PostgreSQL's
+/// `bigint out of range` for NaN, the infinities and anything outside
+/// `[-2^63, 2^63)` — never a saturated value.
+pub(crate) fn float_to_bigint(f: f64) -> Result<i64> {
+    if (-BIGINT_BOUND..BIGINT_BOUND).contains(&f) {
+        Ok(f as i64)
+    } else {
+        Err(SqlError::Execution("bigint out of range".into()))
     }
 }
 
@@ -258,15 +274,16 @@ impl fmt::Display for Value {
 // Civil timestamp conversion (Howard Hinnant's days-from-civil algorithm)
 // ---------------------------------------------------------------------------
 
-/// Days since 1970-01-01 for a civil date.
-pub fn days_from_civil(y: i64, m: u32, d: u32) -> i64 {
-    let y = if m <= 2 { y - 1 } else { y };
-    let era = if y >= 0 { y } else { y - 399 } / 400;
+/// Days since 1970-01-01 for a civil date; `None` when the count
+/// overflows `i64`.
+pub fn days_from_civil(y: i64, m: u32, d: u32) -> Option<i64> {
+    let y = if m <= 2 { y.checked_sub(1)? } else { y };
+    let era = if y >= 0 { y } else { y.checked_sub(399)? } / 400;
     let yoe = y - era * 400; // [0, 399]
     let mp = (m as i64 + 9) % 12; // [0, 11]
     let doy = (153 * mp + 2) / 5 + d as i64 - 1; // [0, 365]
     let doe = yoe * 365 + yoe / 4 - yoe / 100 + doy; // [0, 146096]
-    era * 146_097 + doe - 719_468
+    era.checked_mul(146_097)?.checked_add(doe - 719_468)
 }
 
 /// Civil date for days since 1970-01-01.
@@ -283,9 +300,12 @@ pub fn civil_from_days(z: i64) -> (i64, u32, u32) {
     (if m <= 2 { y + 1 } else { y }, m, d)
 }
 
-/// Build an epoch-seconds timestamp from civil components.
-pub fn timestamp_from_parts(y: i64, mo: u32, d: u32, h: u32, mi: u32, s: u32) -> i64 {
-    days_from_civil(y, mo, d) * 86_400 + (h as i64) * 3600 + (mi as i64) * 60 + s as i64
+/// Build an epoch-seconds timestamp from civil components; `None` when
+/// it overflows `i64`.
+pub fn timestamp_from_parts(y: i64, mo: u32, d: u32, h: u32, mi: u32, s: u32) -> Option<i64> {
+    days_from_civil(y, mo, d)?
+        .checked_mul(86_400)?
+        .checked_add((h as i64) * 3600 + (mi as i64) * 60 + s as i64)
 }
 
 /// Parse `'YYYY-MM-DD[ HH:MM[:SS]]'` (also accepting `/` as date separator,
@@ -322,7 +342,8 @@ pub fn parse_timestamp(s: &str) -> Result<i64> {
             return Err(bad());
         }
     }
-    Ok(timestamp_from_parts(y, mo, d, h, mi, sec))
+    timestamp_from_parts(y, mo, d, h, mi, sec)
+        .ok_or_else(|| SqlError::Execution(format!("timestamp out of range: \"{s}\"")))
 }
 
 /// Format an epoch-seconds timestamp as `YYYY-MM-DD HH:MM:SS`.
@@ -352,7 +373,12 @@ pub fn parse_interval(s: &str) -> Result<i64> {
             "week" => 7 * 86_400,
             _ => return Err(bad()),
         };
-        total += n * mult;
+        total = n
+            .checked_mul(mult)
+            .and_then(|v| total.checked_add(v))
+            .ok_or_else(|| {
+                SqlError::Execution(format!("interval field value out of range: \"{s}\""))
+            })?;
         any = true;
     }
     if !any {
@@ -377,11 +403,11 @@ mod tests {
     #[test]
     fn civil_date_round_trip() {
         // Spot checks.
-        assert_eq!(days_from_civil(1970, 1, 1), 0);
-        assert_eq!(days_from_civil(2015, 2, 1), 16467);
+        assert_eq!(days_from_civil(1970, 1, 1), Some(0));
+        assert_eq!(days_from_civil(2015, 2, 1), Some(16467));
         for z in [-1000, 0, 1, 16467, 20000, 30000] {
             let (y, m, d) = civil_from_days(z);
-            assert_eq!(days_from_civil(y, m, d), z);
+            assert_eq!(days_from_civil(y, m, d), Some(z));
         }
     }
 

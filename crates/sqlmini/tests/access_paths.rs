@@ -106,6 +106,105 @@ fn explain_covers_every_statement_kind() {
 }
 
 #[test]
+fn update_and_delete_take_the_index_access_path() {
+    let db = indexed_db(2000);
+    assert_eq!(
+        plan_of(&db, "UPDATE t SET v = 'y' WHERE k = 1234"),
+        "Update on t\n  ->  IndexScan using t_k on t\n        Index Cond: (k = 1234)\n        \
+         Filter: (k = 1234)"
+    );
+    let range = "DELETE FROM t WHERE k > 100 AND k <= 110";
+    let plan = plan_of(&db, range);
+    assert!(
+        plan.starts_with("Delete on t\n  ->  IndexScan using t_k on t"),
+        "{plan}"
+    );
+    assert!(
+        plan.contains("Index Cond: (k > 100) AND (k <= 110)"),
+        "{plan}"
+    );
+    let [ix0, seq0] = [Stat::IndexScans, Stat::SeqScans].map(|s| db.stat(s));
+    let n = db.execute("UPDATE t SET v = 'y' WHERE k = 1234").unwrap();
+    assert_eq!(n.rows[0][0], Value::Int(1));
+    assert_eq!(db.stat(Stat::IndexScans), ix0 + 1, "the UPDATE probes t_k");
+    // With the access path off, DML plans and runs the sequential scan.
+    db.set_index_access_enabled(false);
+    for sql in ["UPDATE t SET v = 'y' WHERE k = 1234", range] {
+        let plan = plan_of(&db, sql);
+        assert!(plan.contains("  ->  SeqScan on t"), "{plan}");
+        assert!(!plan.contains("IndexScan"), "{plan}");
+    }
+    let n = db.execute(range).unwrap();
+    assert_eq!(n.rows[0][0], Value::Int(10));
+    assert_eq!(
+        db.stat(Stat::SeqScans),
+        seq0 + 1,
+        "the DELETE walks the heap"
+    );
+    let left: Vec<i64> = db
+        .query_as("SELECT count(*) FROM t WHERE k > 100 AND k <= 110", &[])
+        .unwrap();
+    assert_eq!(left, vec![0]);
+}
+
+/// The ingest workload's retention shape: one transaction appends the
+/// newest hour and deletes the oldest through `ts < $1`. The DELETE
+/// probes the time index instead of walking the whole table.
+#[test]
+fn retention_delete_in_a_transaction_probes_the_time_index() {
+    const SENSORS: i64 = 100;
+    const HOURS: i64 = 100;
+    let db = Database::new();
+    db.execute("CREATE TABLE readings (sensor int, ts timestamp, value float)")
+        .unwrap();
+    let rows = (0..HOURS)
+        .flat_map(|h| {
+            (0..SENSORS).map(move |s| {
+                vec![
+                    Value::Int(s),
+                    Value::Timestamp(h * 3600),
+                    Value::Float(s as f64),
+                ]
+            })
+        })
+        .collect();
+    db.insert_rows("readings", rows).unwrap();
+    db.execute("CREATE INDEX readings_ts ON readings (ts)")
+        .unwrap();
+    db.execute("ANALYZE readings").unwrap();
+    let [ix0, scanned0] = [Stat::IndexScans, Stat::RowsScanned].map(|s| db.stat(s));
+    db.execute("BEGIN").unwrap();
+    let insert = db
+        .prepare("INSERT INTO readings VALUES ($1, $2, $3)")
+        .unwrap();
+    for s in 0..SENSORS {
+        insert
+            .query(&[
+                Value::Int(s),
+                Value::Timestamp(HOURS * 3600),
+                Value::Float(0.0),
+            ])
+            .unwrap();
+    }
+    let deleted = db
+        .query(
+            "DELETE FROM readings WHERE ts < $1",
+            &[Value::Timestamp(3600)],
+        )
+        .unwrap();
+    db.execute("COMMIT").unwrap();
+    assert_eq!(deleted.rows[0][0], Value::Int(SENSORS));
+    assert_eq!(db.stat(Stat::IndexScans), ix0 + 1);
+    let scanned = db.stat(Stat::RowsScanned) - scanned0;
+    assert!(
+        scanned < (SENSORS * HOURS / 10) as u64,
+        "the retention DELETE examined {scanned} rows"
+    );
+    let n: Vec<i64> = db.query_as("SELECT count(*) FROM readings", &[]).unwrap();
+    assert_eq!(n, vec![SENSORS * HOURS]);
+}
+
+#[test]
 fn index_probe_works_through_bind_parameters() {
     let db = indexed_db(2000);
     let stmt = db.prepare("SELECT v FROM t WHERE k = $1").unwrap();
@@ -352,14 +451,14 @@ fn unique_check_applies_to_insert_rows_at_any_shard_count() {
 
 // --- index maintenance under DML -------------------------------------------
 
-/// Regression for the single-version in-place UPDATE/DELETE fast path:
-/// payload overwrites and version removals must keep index entries
-/// consistent, or later probes return wrong rows.
+/// UPDATE and DELETE keep index entries consistent: an UPDATE that
+/// moves an indexed key appends its successor under the new key, a
+/// DELETE ends versions, and compaction renumbers positions — later
+/// probes must still land on exactly the right rows.
 #[test]
 fn in_place_update_and_delete_keep_the_index_consistent() {
     let db = indexed_db(2000);
-    // Auto-commit UPDATE with no pins and no old snapshots takes the
-    // in-place overwrite path.
+    // The UPDATE finds its target through the same index probe.
     db.execute("UPDATE t SET k = 5000 WHERE k = 77").unwrap();
     let hits = |k: i64| -> Vec<String> {
         let ix_before = db.stat(Stat::IndexScans);
@@ -372,8 +471,8 @@ fn in_place_update_and_delete_keep_the_index_consistent() {
     };
     assert_eq!(hits(77), Vec::<String>::new(), "old key must be unindexed");
     assert_eq!(hits(5000), vec!["r77".to_string()]);
-    // In-place DELETE removes versions and renumbers positions; probes
-    // for the surviving keys must still land on the right rows.
+    // DELETE ends versions (and the write-path GC may compact them);
+    // probes for the surviving keys must still land on the right rows.
     db.execute("DELETE FROM t WHERE k = 100").unwrap();
     assert_eq!(hits(100), Vec::<String>::new());
     assert_eq!(hits(101), vec!["r101".to_string()]);

@@ -626,6 +626,127 @@ fn grouped_overflow_errors_alike_with_and_without_the_batch_path() {
 }
 
 #[test]
+fn overflowing_literals_raise_out_of_range_errors() {
+    let db = Database::new();
+    let interval =
+        |text: &str| format!("execution error: interval field value out of range: \"{text}\"");
+    let timestamp = |text: &str| format!("execution error: timestamp out of range: \"{text}\"");
+    let cases = [
+        (
+            "SELECT interval '9223372036854775807 hours'",
+            interval("9223372036854775807 hours"),
+        ),
+        (
+            "SELECT interval '9223372036854775807 seconds 1 second'",
+            interval("9223372036854775807 seconds 1 second"),
+        ),
+        (
+            "SELECT '9223372036854775807 days'::interval",
+            interval("9223372036854775807 days"),
+        ),
+        (
+            "SELECT timestamp '9223372036854775807-01-01'",
+            timestamp("9223372036854775807-01-01"),
+        ),
+        (
+            "SELECT '9223372036854775807-01-01'::timestamp",
+            timestamp("9223372036854775807-01-01"),
+        ),
+        (
+            "SELECT timestamp '300000000000-03-01 12:00'",
+            timestamp("300000000000-03-01 12:00"),
+        ),
+    ];
+    for (sql, expected) in &cases {
+        match db.execute(sql) {
+            Err(e) => assert_eq!(e.to_string(), *expected, "{sql}"),
+            Ok(q) => panic!("{sql} returned {:?}", q.rows),
+        }
+    }
+    // The largest literals that fit are still accepted.
+    let q = db
+        .execute("SELECT interval '9223372036854775807 seconds'")
+        .unwrap();
+    assert_eq!(q.rows[0][0], Value::Interval(i64::MAX));
+    let q = db.execute("SELECT timestamp '290000000-01-01'").unwrap();
+    assert!(matches!(q.rows[0][0], Value::Timestamp(t) if t > 0));
+}
+
+#[test]
+fn float_to_int_conversions_raise_bigint_out_of_range() {
+    let db = Database::new();
+    let bigint = "execution error: bigint out of range";
+    for sql in [
+        "SELECT 1e300::int",
+        "SELECT (-1e300)::int",
+        "SELECT 'NaN'::float::int",
+        "SELECT 'Infinity'::float::int",
+        "SELECT 9223372036854775808.0::int",
+    ] {
+        match db.execute(sql) {
+            Err(e) => assert_eq!(e.to_string(), bigint, "{sql}"),
+            Ok(q) => panic!("{sql} returned {:?}", q.rows),
+        }
+    }
+    db.execute("CREATE TABLE t (i int)").unwrap();
+    let err = db
+        .execute("INSERT INTO t VALUES (1e300)")
+        .unwrap_err()
+        .to_string();
+    assert!(err.contains(bigint), "{err}");
+    assert!(Value::Float(1e300).as_i64().is_err());
+    // The range's ends are still reachable, and casts still round.
+    let q = db
+        .execute("SELECT (-9223372036854775808.0)::int, 9223372036854774784.0::int, 4.6::int")
+        .unwrap();
+    assert_eq!(
+        q.rows[0],
+        vec![
+            Value::Int(i64::MIN),
+            Value::Int(9_223_372_036_854_774_784),
+            Value::Int(5)
+        ]
+    );
+}
+
+#[test]
+fn grouped_float_to_int_key_errors_alike_with_and_without_the_batch_path() {
+    let db = Database::new();
+    db.execute("CREATE TABLE t (f float)").unwrap();
+    db.execute("INSERT INTO t VALUES (1.5), (NULL), (1e300)")
+        .unwrap();
+    let sql = "SELECT f::int, count(*) FROM t GROUP BY f::int";
+    db.set_vectorized_enabled(true);
+    let fallbacks = db.stat(Stat::VectorizedFallbacks);
+    let batch = db.execute(sql).unwrap_err().to_string();
+    assert_eq!(
+        db.stat(Stat::VectorizedFallbacks),
+        fallbacks + 1,
+        "the batch cast declines the out-of-range lane and the scalar re-run raises"
+    );
+    db.set_vectorized_enabled(false);
+    let scalar = db.execute(sql).unwrap_err().to_string();
+    assert_eq!(batch, "execution error: bigint out of range");
+    assert_eq!(batch, scalar);
+    // Without the out-of-range row the batch keeps every lane, NULL included.
+    db.execute("DELETE FROM t WHERE f > 10.0").unwrap();
+    db.set_vectorized_enabled(true);
+    let [fallbacks, ops] = [Stat::VectorizedFallbacks, Stat::VectorizedOps].map(|s| db.stat(s));
+    let q = db
+        .execute("SELECT f::int, count(*) FROM t GROUP BY f::int ORDER BY 1")
+        .unwrap();
+    assert_eq!(db.stat(Stat::VectorizedFallbacks), fallbacks);
+    assert_eq!(db.stat(Stat::VectorizedOps), ops + 1);
+    assert_eq!(
+        q.rows,
+        vec![
+            vec![Value::Int(2), Value::Int(1)],
+            vec![Value::Null, Value::Int(1)]
+        ]
+    );
+}
+
+#[test]
 fn overflowing_update_leaves_the_table_unchanged() {
     let db = db_at_the_integer_limit();
     let err = db.execute("UPDATE t SET i = i + 1").unwrap_err();
