@@ -6,7 +6,7 @@
 //! the whole workflow inside the DBMS, as the paper's combined experiment
 //! requires.
 
-use pgfmu_sqlmini::{ArgKind, Database, QueryResult, SqlError, Value};
+use pgfmu_sqlmini::{ArgKind, Database, SqlError, Value};
 
 use crate::arima::{Arima, ArimaSpec};
 use crate::logistic::LogisticRegression;
@@ -131,7 +131,7 @@ pub fn register_udfs(db: &Database) {
     db.udf("arima_forecast")
         .arg("output_table", ArgKind::Text)
         .arg("steps", ArgKind::Int)
-        .table(|db, args| {
+        .table(&["time", "value"], |db, args| {
             let table = args.text(0).to_string();
             ident_ok(&table)?;
             let steps = args.i64(1);
@@ -186,14 +186,16 @@ pub fn register_udfs(db: &Database) {
             let last_epoch = meta[7] as i64;
             let step = meta[8] as i64;
             let forecast = model.forecast(steps as usize);
-            let mut q = QueryResult::new(vec!["time".into(), "value".into()]);
-            for (i, v) in forecast.into_iter().enumerate() {
-                q.rows.push(vec![
-                    Value::Timestamp(last_epoch + (i as i64 + 1) * step),
-                    Value::Float(v),
-                ]);
-            }
-            Ok(q)
+            Ok(forecast
+                .into_iter()
+                .enumerate()
+                .map(|(i, v)| {
+                    vec![
+                        Value::Timestamp(last_epoch + (i as i64 + 1) * step),
+                        Value::Float(v),
+                    ]
+                })
+                .collect())
         });
 
     db.udf("logregr_train")

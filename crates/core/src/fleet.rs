@@ -79,13 +79,22 @@ pub fn default_workers() -> usize {
         .min(8)
 }
 
-/// Resolve a user-supplied worker-count argument: `None` or `0` means
-/// [`default_workers`], anything else is taken as given (minimum 1).
-pub fn resolve_workers(requested: Option<usize>) -> usize {
-    match requested {
+/// The most threads one fleet call's pool spawns, whatever width it is
+/// asked for: each is an OS thread, so the request comes from SQL and
+/// must not be able to exhaust them.
+pub const MAX_WORKERS: usize = 64;
+
+/// Resolve a user-supplied worker-count argument into the width of a
+/// pool with at most `tasks` tasks to run at once: `None` or `0` means
+/// [`default_workers`]; the width is clamped to `tasks` and to
+/// [`MAX_WORKERS`], and is at least 1. Results are identical at any
+/// width, so the clamp changes none.
+pub fn resolve_workers(requested: Option<usize>, tasks: usize) -> usize {
+    let n = match requested {
         None | Some(0) => default_workers(),
-        Some(n) => n.max(1),
-    }
+        Some(n) => n,
+    };
+    n.min(tasks).clamp(1, MAX_WORKERS)
 }
 
 /// Execute `fmu_simulate` for every instance of a fleet concurrently and
@@ -110,7 +119,7 @@ pub fn run_simulate_fleet(
             "fmu_simulate_fleet: no model instances supplied".into(),
         ));
     }
-    let workers = resolve_workers(workers);
+    let workers = resolve_workers(workers, instance_ids.len());
     let pool = ThreadPool::new(workers);
     let task_ns = AtomicU64::new(0);
     let outputs = pool
@@ -150,7 +159,9 @@ pub fn run_parest_fleet(
     threshold: Option<f64>,
     workers: Option<usize>,
 ) -> Result<Vec<ParestReport>> {
-    let workers = resolve_workers(workers);
+    // The pool serves GA candidates and local starts, not instances, so
+    // only the cap applies.
+    let workers = resolve_workers(workers, usize::MAX);
     let pool = ThreadPool::new(workers);
     let t0 = Instant::now();
     let reports = run_parest_in(
@@ -167,4 +178,20 @@ pub fn run_parest_fleet(
         t0.elapsed().as_nanos() as u64,
     );
     Ok(reports)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn worker_requests_are_clamped_to_the_cap_and_the_task_count() {
+        assert_eq!(resolve_workers(Some(1_000_000), 1_000), MAX_WORKERS);
+        assert_eq!(resolve_workers(Some(1_000_000), usize::MAX), MAX_WORKERS);
+        assert_eq!(resolve_workers(Some(0), 1_000), default_workers());
+        assert_eq!(resolve_workers(None, 1_000), default_workers());
+        assert_eq!(resolve_workers(Some(8), 3), 3);
+        assert_eq!(resolve_workers(None, 1), 1);
+        assert_eq!(resolve_workers(Some(2), 3), 2);
+    }
 }

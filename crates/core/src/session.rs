@@ -227,9 +227,10 @@ impl PgFmu {
     /// [time_to], [workers])` — simulate a whole fleet of instances
     /// concurrently over a worker pool and return the concatenated long
     /// output table, in instance order. `workers = None` (or 0) uses
-    /// [`crate::fleet::default_workers`]; any worker count produces
-    /// output byte-identical to a serial loop of [`PgFmu::fmu_simulate`]
-    /// calls.
+    /// [`crate::fleet::default_workers`]; the pool is never wider than
+    /// the fleet or [`crate::fleet::MAX_WORKERS`]. Any worker count
+    /// produces output byte-identical to a serial loop of
+    /// [`PgFmu::fmu_simulate`] calls.
     pub fn fmu_simulate_fleet(
         &self,
         instance_ids: &[String],

@@ -76,15 +76,8 @@ impl Iterator for SimRows {
     }
 }
 
-/// The output column names of `fmu_simulate` (paper Table 4).
-fn sim_columns() -> Vec<String> {
-    vec![
-        "simulationtime".into(),
-        "instanceid".into(),
-        "varname".into(),
-        "value".into(),
-    ]
-}
+/// The output columns of `fmu_simulate` (paper Table 4).
+pub(crate) const SIM_COLUMNS: &[&str] = &["simulationtime", "instanceid", "varname", "value"];
 
 /// Execute `fmu_simulate` and return the long output table
 /// `(simulationtime, instanceid, varname, value)` of paper Table 4.
@@ -207,7 +200,7 @@ pub fn run_simulate_rows(
     }
 
     Ok(Rows::streamed(
-        sim_columns(),
+        SIM_COLUMNS.iter().map(|c| c.to_string()).collect(),
         SimRows {
             result,
             instance_id: instance_id.to_string(),

@@ -18,11 +18,12 @@
 
 use std::sync::{Arc, Weak};
 
-use pgfmu_sqlmini::{ArgKind, Args, Database, QueryResult, SqlError, Value};
+use pgfmu_sqlmini::{ArgKind, Args, Database, Row, SqlError, Value};
 
 use crate::arrays::{format_float_array, parse_ident_array, parse_sql_array};
+use crate::parest::ParestReport;
 use crate::session::Session;
-use crate::simulate::TimeSpec;
+use crate::simulate::{TimeSpec, SIM_COLUMNS};
 
 type SqlResult<T> = std::result::Result<T, SqlError>;
 
@@ -51,6 +52,35 @@ fn parest_args(args: &Args) -> ParestArgs {
         .filter(|p| !p.is_empty());
     let threshold = args.opt_f64(3);
     (ids, sqls, pars, threshold)
+}
+
+/// The columns of `fmu_parest_report` and `fmu_parest_fleet`.
+const PAREST_COLUMNS: &[&str] = &[
+    "instanceid",
+    "estimationerror",
+    "strategy",
+    "globalevals",
+    "localevals",
+];
+
+/// One [`PAREST_COLUMNS`] row per estimation report.
+fn parest_rows(reports: Vec<ParestReport>) -> Vec<Row> {
+    reports
+        .into_iter()
+        .map(|r| {
+            let strategy = match r.strategy {
+                pgfmu_estimation::Strategy::GlobalLocal => "G+LaG",
+                pgfmu_estimation::Strategy::LocalOnly => "LO",
+            };
+            vec![
+                Value::Text(r.instance_id),
+                Value::Float(r.rmse),
+                Value::Text(strategy.into()),
+                Value::Int(r.global_evals as i64),
+                Value::Int(r.local_evals as i64),
+            ]
+        })
+        .collect()
 }
 
 /// Register every pgFMU UDF on the database.
@@ -170,47 +200,47 @@ pub(crate) fn register_all(db: &Database, weak: Weak<Session>) {
     let w = weak.clone();
     db.udf("fmu_variables")
         .arg("instanceid", ArgKind::Text)
-        .table(move |_db, args| {
-            let s = session(&w)?;
-            let rows = s.catalog.variables(args.text(0))?;
-            let mut q = QueryResult::new(vec![
-                "instanceid".into(),
-                "varname".into(),
-                "vartype".into(),
-                "initialvalue".into(),
-                "minvalue".into(),
-                "maxvalue".into(),
-            ]);
-            for r in rows {
-                q.rows.push(vec![
-                    Value::Text(r.instance_id),
-                    Value::Text(r.var_name),
-                    Value::Text(r.var_type),
-                    opt_f64(r.value),
-                    opt_f64(r.min_value),
-                    opt_f64(r.max_value),
-                ]);
-            }
-            Ok(q)
-        });
+        .table(
+            &[
+                "instanceid",
+                "varname",
+                "vartype",
+                "initialvalue",
+                "minvalue",
+                "maxvalue",
+            ],
+            move |_db, args| {
+                let s = session(&w)?;
+                let rows = s.catalog.variables(args.text(0))?;
+                Ok(rows
+                    .into_iter()
+                    .map(|r| {
+                        vec![
+                            Value::Text(r.instance_id),
+                            Value::Text(r.var_name),
+                            Value::Text(r.var_type),
+                            opt_f64(r.value),
+                            opt_f64(r.min_value),
+                            opt_f64(r.max_value),
+                        ]
+                    })
+                    .collect())
+            },
+        );
 
     // ---- fmu_get -------------------------------------------------------------------
     let w = weak.clone();
     db.udf("fmu_get")
         .arg("instanceid", ArgKind::Text)
         .arg("varname", ArgKind::Text)
-        .table(move |_db, args| {
-            let s = session(&w)?;
-            let (value, min, max) = s.catalog.get_value(args.text(0), args.text(1))?;
-            let mut q = QueryResult::new(vec![
-                "initialvalue".into(),
-                "minvalue".into(),
-                "maxvalue".into(),
-            ]);
-            q.rows
-                .push(vec![opt_f64(value), opt_f64(min), opt_f64(max)]);
-            Ok(q)
-        });
+        .table(
+            &["initialvalue", "minvalue", "maxvalue"],
+            move |_db, args| {
+                let s = session(&w)?;
+                let (value, min, max) = s.catalog.get_value(args.text(0), args.text(1))?;
+                Ok(vec![vec![opt_f64(value), opt_f64(min), opt_f64(max)]])
+            },
+        );
 
     // ---- fmu_parest (scalar, the paper's surface) -----------------------------------
     let w = weak.clone();
@@ -239,33 +269,11 @@ pub(crate) fn register_all(db: &Database, weak: Weak<Session>) {
         .arg("input_sqls", ArgKind::Text)
         .opt_arg("pars", ArgKind::Text)
         .opt_arg("threshold", ArgKind::Float)
-        .table(move |_db, args| {
+        .table(PAREST_COLUMNS, move |_db, args| {
             let s = session(&w)?;
             let (ids, sqls, pars, threshold) = parest_args(args);
             let reports = crate::parest::run_parest(&s, &ids, &sqls, pars.as_deref(), threshold)?;
-            let mut q = QueryResult::new(vec![
-                "instanceid".into(),
-                "estimationerror".into(),
-                "strategy".into(),
-                "globalevals".into(),
-                "localevals".into(),
-            ]);
-            for r in reports {
-                q.rows.push(vec![
-                    Value::Text(r.instance_id),
-                    Value::Float(r.rmse),
-                    Value::Text(
-                        match r.strategy {
-                            pgfmu_estimation::Strategy::GlobalLocal => "G+LaG",
-                            pgfmu_estimation::Strategy::LocalOnly => "LO",
-                        }
-                        .into(),
-                    ),
-                    Value::Int(r.global_evals as i64),
-                    Value::Int(r.local_evals as i64),
-                ]);
-            }
-            Ok(q)
+            Ok(parest_rows(reports))
         });
 
     // ---- fmu_simulate -------------------------------------------------------------------
@@ -275,7 +283,7 @@ pub(crate) fn register_all(db: &Database, weak: Weak<Session>) {
         .opt_arg("input_sql", ArgKind::Text)
         .opt_arg("time_from", ArgKind::Any)
         .opt_arg("time_to", ArgKind::Any)
-        .table(move |_db, args| {
+        .table(SIM_COLUMNS, move |_db, args| {
             let s = session(&w)?;
             let time_from = match args.value(2) {
                 Value::Null => None,
@@ -291,7 +299,8 @@ pub(crate) fn register_all(db: &Database, weak: Weak<Session>) {
                 args.opt_text(1),
                 time_from,
                 time_to,
-            )?)
+            )?
+            .rows)
         });
 
     // ---- fmu_simulate_fleet (cross-instance fan-out) ----------------------------------------
@@ -302,7 +311,7 @@ pub(crate) fn register_all(db: &Database, weak: Weak<Session>) {
         .opt_arg("time_from", ArgKind::Any)
         .opt_arg("time_to", ArgKind::Any)
         .opt_arg("workers", ArgKind::Int)
-        .table(move |_db, args| {
+        .table(SIM_COLUMNS, move |_db, args| {
             let s = session(&w)?;
             let ids = parse_ident_array(args.text(0));
             let time_from = match args.value(2) {
@@ -321,7 +330,8 @@ pub(crate) fn register_all(db: &Database, weak: Weak<Session>) {
                 time_from,
                 time_to,
                 workers,
-            )?)
+            )?
+            .rows)
         });
 
     // ---- fmu_parest_fleet (pooled estimation) -----------------------------------------------
@@ -332,7 +342,7 @@ pub(crate) fn register_all(db: &Database, weak: Weak<Session>) {
         .opt_arg("pars", ArgKind::Text)
         .opt_arg("threshold", ArgKind::Float)
         .opt_arg("workers", ArgKind::Int)
-        .table(move |_db, args| {
+        .table(PAREST_COLUMNS, move |_db, args| {
             let s = session(&w)?;
             let (ids, sqls, pars, threshold) = parest_args(args);
             let workers = args.opt_i64(4).map(|n| n.max(0) as usize);
@@ -344,29 +354,7 @@ pub(crate) fn register_all(db: &Database, weak: Weak<Session>) {
                 threshold,
                 workers,
             )?;
-            let mut q = QueryResult::new(vec![
-                "instanceid".into(),
-                "estimationerror".into(),
-                "strategy".into(),
-                "globalevals".into(),
-                "localevals".into(),
-            ]);
-            for r in reports {
-                q.rows.push(vec![
-                    Value::Text(r.instance_id),
-                    Value::Float(r.rmse),
-                    Value::Text(
-                        match r.strategy {
-                            pgfmu_estimation::Strategy::GlobalLocal => "G+LaG",
-                            pgfmu_estimation::Strategy::LocalOnly => "LO",
-                        }
-                        .into(),
-                    ),
-                    Value::Int(r.global_evals as i64),
-                    Value::Int(r.local_evals as i64),
-                ]);
-            }
-            Ok(q)
+            Ok(parest_rows(reports))
         });
 
     // ---- fmu_control (future-work MPC) -----------------------------------------------------
@@ -378,7 +366,7 @@ pub(crate) fn register_all(db: &Database, weak: Weak<Session>) {
         .arg("intervals", ArgKind::Int)
         .arg("setpoint", ArgKind::Float)
         .opt_arg("effort_weight", ArgKind::Float)
-        .table(move |_db, args| {
+        .table(&["hours", "value"], move |_db, args| {
             let s = session(&w)?;
             let plan = crate::control::run_control(
                 &s,
@@ -389,10 +377,9 @@ pub(crate) fn register_all(db: &Database, weak: Weak<Session>) {
                 args.f64(4),
                 args.opt_f64(5).unwrap_or(0.01),
             )?;
-            let mut q = QueryResult::new(vec!["hours".into(), "value".into()]);
-            for (t, u) in plan {
-                q.rows.push(vec![Value::Float(t), Value::Float(u)]);
-            }
-            Ok(q)
+            Ok(plan
+                .into_iter()
+                .map(|(t, u)| vec![Value::Float(t), Value::Float(u)])
+                .collect())
         });
 }

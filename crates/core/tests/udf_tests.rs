@@ -530,3 +530,73 @@ fn prepared_binds_drive_udf_reentrant_estimation() {
     assert_eq!(rows[0].0, "Cp");
     assert!((rows[0].1 - 1.5).abs() < 0.4, "Cp estimate {}", rows[0].1);
 }
+
+#[test]
+fn every_set_returning_function_reports_its_declared_columns() {
+    let s = session_with_measurements();
+    s.execute("SELECT fmu_create('HP1', 'i')").unwrap();
+    // A short periodic series for arima_forecast's model table.
+    s.execute("CREATE TABLE occ (time timestamp, value float)")
+        .unwrap();
+    let rows: Vec<String> = (0..40)
+        .map(|h| format!("(timestamp '2018-04-04' + interval '{h} hours', {})", h % 4))
+        .collect();
+    s.execute(&format!("INSERT INTO occ VALUES {}", rows.join(", ")))
+        .unwrap();
+    s.execute("SELECT arima_train('occ', 'occ_model', 'time', 'value', '1,0,0')")
+        .unwrap();
+    s.execute("CREATE TABLE nothing (id text)").unwrap();
+    let sim: &[&str] = &["simulationtime", "instanceid", "varname", "value"];
+    let parest: &[&str] = &[
+        "instanceid",
+        "estimationerror",
+        "strategy",
+        "globalevals",
+        "localevals",
+    ];
+    let input = "'SELECT * FROM measurements'";
+    let cases: [(&str, String, &[&str]); 8] = [
+        (
+            "fmu_variables",
+            "'i'".into(),
+            &[
+                "instanceid",
+                "varname",
+                "vartype",
+                "initialvalue",
+                "minvalue",
+                "maxvalue",
+            ],
+        ),
+        (
+            "fmu_get",
+            "'i', 'Cp'".into(),
+            &["initialvalue", "minvalue", "maxvalue"],
+        ),
+        ("fmu_simulate", format!("'i', {input}"), sim),
+        ("fmu_simulate_fleet", format!("'{{i}}', {input}"), sim),
+        ("fmu_parest_report", format!("'{{i}}', {input}"), parest),
+        ("fmu_parest_fleet", format!("'{{i}}', {input}"), parest),
+        (
+            "fmu_control",
+            "'i', 'u', 12.0, 6, 18.0".into(),
+            &["hours", "value"],
+        ),
+        (
+            "arima_forecast",
+            "'occ_model', 3".into(),
+            &["time", "value"],
+        ),
+    ];
+    for (name, args, columns) in cases {
+        let q = s.execute(&format!("SELECT * FROM {name}({args})")).unwrap();
+        assert_eq!(q.columns, columns, "{name}");
+        assert!(!q.rows.is_empty(), "{name}");
+        // Laterally over an empty table the function never runs.
+        let q = s
+            .execute(&format!("SELECT {name}.* FROM nothing, {name}({args})"))
+            .unwrap();
+        assert_eq!(q.columns, columns, "{name} without rows");
+        assert!(q.rows.is_empty(), "{name}");
+    }
+}

@@ -321,7 +321,8 @@ type PendingStamps = (Arc<RwLock<Table>>, Vec<usize>, Vec<usize>);
 pub struct Database {
     tables: RwLock<HashMap<String, Arc<RwLock<Table>>>>,
     scalars: RwLock<HashMap<String, ScalarFn>>,
-    table_fns: RwLock<HashMap<String, TableFn>>,
+    /// Set-returning functions, each with its declared output columns.
+    table_fns: RwLock<HashMap<String, (Vec<String>, TableFn)>>,
     /// Builtin names the planner may evaluate natively; cleared for a
     /// name when it is re-registered as an ordinary UDF.
     intrinsics: RwLock<HashMap<String, functions::Intrinsic>>,
@@ -745,15 +746,19 @@ impl Database {
         self.schema_epoch.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Register (or replace) a set-returning UDF (see
-    /// [`Database::register_scalar`] on the raw vs. typed surface).
-    pub fn register_table_fn<F>(&self, name: &str, f: F)
+    /// Register (or replace) a set-returning UDF that returns rows of the
+    /// declared output `columns`, as PostgreSQL's `RETURNS TABLE` does.
+    /// The planner resolves a statement against the declaration, so a
+    /// returned row whose length differs from it is an error. See
+    /// [`Database::register_scalar`] on the raw vs. typed surface.
+    pub fn register_table_fn<F>(&self, name: &str, columns: &[&str], f: F)
     where
-        F: Fn(&Database, &[Value]) -> Result<QueryResult> + Send + Sync + 'static,
+        F: Fn(&Database, &[Value]) -> Result<Vec<Row>> + Send + Sync + 'static,
     {
+        let columns = columns.iter().map(|c| c.to_ascii_lowercase()).collect();
         self.table_fns
             .write()
-            .insert(name.to_ascii_lowercase(), Arc::new(f));
+            .insert(name.to_ascii_lowercase(), (columns, Arc::new(f)));
         self.schema_epoch.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -832,21 +837,18 @@ impl Database {
         }
     }
 
-    /// Invoke a set-returning function by name; scalar functions degrade to
-    /// a one-row, one-column table (PostgreSQL behaviour in FROM).
-    pub fn call_table_fn(&self, name: &str, args: &[Value]) -> Result<QueryResult> {
+    /// Resolve a FROM-clause function for the planner: a set-returning
+    /// function with its declared columns, or a scalar function as one
+    /// row of one column named after it (PostgreSQL behaviour in FROM).
+    pub(crate) fn lookup_from_fn(&self, name: &str) -> Result<(Vec<String>, TableFn)> {
         let key = name.to_ascii_lowercase();
-        let f = self.table_fns.read().get(&key).cloned();
-        if let Some(f) = f {
-            return f(self, args);
+        if let Some(entry) = self.table_fns.read().get(&key) {
+            return Ok(entry.clone());
         }
-        let s = self.scalars.read().get(&key).cloned();
-        match s {
+        match self.lookup_scalar(&key) {
             Some(f) => {
-                let v = f(self, args)?;
-                let mut q = QueryResult::new(vec![key]);
-                q.rows.push(vec![v]);
-                Ok(q)
+                let call: TableFn = Arc::new(move |db, args| Ok(vec![vec![f(db, args)?]]));
+                Ok((vec![key], call))
             }
             None => Err(SqlError::UnknownFunction(format!("{name}(…)"))),
         }
@@ -1565,12 +1567,10 @@ mod tests {
     #[test]
     fn table_udf_can_query_database_reentrantly() {
         let db = setup();
-        db.register_table_fn("summarize", |db, args| {
+        db.register_table_fn("summarize", &["n"], |db, args| {
             let sql = args[0].as_str()?;
             let inner = db.execute(sql)?;
-            let mut q = QueryResult::new(vec!["n".into()]);
-            q.rows.push(vec![Value::Int(inner.len() as i64)]);
-            Ok(q)
+            Ok(vec![vec![Value::Int(inner.len() as i64)]])
         });
         let q = db
             .execute("SELECT * FROM summarize('SELECT * FROM m')")

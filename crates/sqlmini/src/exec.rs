@@ -31,9 +31,7 @@ use std::cmp::Ordering;
 use std::collections::{hash_map::Entry, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
-use crate::ast::{
-    walk_slots, Expr, FromItem, InsertSource, SelectStmt, Stmt, UnOp, AGGREGATE_FUNCTIONS,
-};
+use crate::ast::{walk_slots, Expr, InsertSource, Stmt, UnOp, AGGREGATE_FUNCTIONS};
 use crate::batch;
 use crate::cost::IndexChoice;
 use crate::counters::Stat;
@@ -41,8 +39,8 @@ use crate::db::{Database, UndoEntry, WriteTxn};
 use crate::decode::NamedRows;
 use crate::error::{Result, SqlError};
 use crate::plan::{
-    AggCall, AggOp, Binding, DmlPlan, Env, GroupPlan, HashJoin, InsertPlan, PhysicalPlan, PlanFn,
-    SelectOps, ZeroScan, ZeroScanKind,
+    unknown_column, AggCall, AggOp, DmlPlan, GroupPlan, InsertPlan, PhysicalPlan, PlanFn, ScanItem,
+    SelectOps, StaticSelectPlan, ZeroScan, ZeroScanKind,
 };
 use crate::table::{
     rid_pos, rid_shard, Column, QueryResult, Rid, Row, Schema, Snapshot, Table, TableView, LIVE,
@@ -71,9 +69,6 @@ struct Ctx<'a> {
 
 /// No resolved functions — raw-AST evaluation contexts.
 const NO_FNS: &[PlanFn] = &[];
-
-/// The empty name environment used once expressions are slot-resolved.
-const NO_BINDINGS: &[Binding] = &[];
 
 // ---------------------------------------------------------------------------
 // Value operations
@@ -226,7 +221,7 @@ fn logical(and: bool, a: &Value, b: &Value) -> Result<Value> {
 // Expression evaluation
 // ---------------------------------------------------------------------------
 
-fn eval(ctx: &Ctx<'_>, expr: &Expr, env: &Env<'_>, row: &[Value]) -> Result<Value> {
+fn eval(ctx: &Ctx<'_>, expr: &Expr, row: &[Value]) -> Result<Value> {
     use crate::ast::BinOp;
     match expr {
         Expr::Literal(v) => Ok(v.clone()),
@@ -248,12 +243,11 @@ fn eval(ctx: &Ctx<'_>, expr: &Expr, env: &Env<'_>, row: &[Value]) -> Result<Valu
                 "aggregate referenced outside the grouping operator".into(),
             )),
         },
-        Expr::Column { table, name } => {
-            let i = env.resolve(table.as_deref(), name)?;
-            Ok(row[i].clone())
-        }
+        // Plans hold only slots; a name reaches evaluation only from
+        // INSERT … VALUES, which has no columns in scope.
+        Expr::Column { table, name } => Err(unknown_column(table.as_deref(), name)),
         Expr::Unary { op, expr } => {
-            let v = eval(ctx, expr, env, row)?;
+            let v = eval(ctx, expr, row)?;
             match op {
                 UnOp::Neg => match v {
                     Value::Null => Ok(Value::Null),
@@ -273,18 +267,18 @@ fn eval(ctx: &Ctx<'_>, expr: &Expr, env: &Env<'_>, row: &[Value]) -> Result<Valu
             // left side decides without evaluating the right side.
             // (Kleene logic: NULL on the left still needs the right side.)
             if matches!(op, BinOp::And | BinOp::Or) {
-                let a = eval(ctx, left, env, row)?;
+                let a = eval(ctx, left, row)?;
                 let and = matches!(op, BinOp::And);
                 if let Ok(decided) = a.as_bool() {
                     if decided != and {
                         return Ok(Value::Bool(decided));
                     }
                 }
-                let b = eval(ctx, right, env, row)?;
+                let b = eval(ctx, right, row)?;
                 return logical(and, &a, &b);
             }
-            let a = eval(ctx, left, env, row)?;
-            let b = eval(ctx, right, env, row)?;
+            let a = eval(ctx, left, row)?;
+            let b = eval(ctx, right, row)?;
             match op {
                 BinOp::Add => arith(BinOpKind::Add, &a, &b),
                 BinOp::Sub => arith(BinOpKind::Sub, &a, &b),
@@ -317,19 +311,19 @@ fn eval(ctx: &Ctx<'_>, expr: &Expr, env: &Env<'_>, row: &[Value]) -> Result<Valu
                 }
             }
         }
-        Expr::Cast { expr, ty } => eval(ctx, expr, env, row)?.cast_to(*ty),
+        Expr::Cast { expr, ty } => eval(ctx, expr, row)?.cast_to(*ty),
         Expr::InList {
             expr,
             list,
             negated,
         } => {
-            let probe = eval(ctx, expr, env, row)?;
+            let probe = eval(ctx, expr, row)?;
             if probe.is_null() {
                 return Ok(Value::Null);
             }
             let mut saw_null = false;
             for item in list {
-                let v = eval(ctx, item, env, row)?;
+                let v = eval(ctx, item, row)?;
                 if v.is_null() {
                     saw_null = true;
                     continue;
@@ -345,7 +339,7 @@ fn eval(ctx: &Ctx<'_>, expr: &Expr, env: &Env<'_>, row: &[Value]) -> Result<Valu
             }
         }
         Expr::IsNull { expr, negated } => {
-            let v = eval(ctx, expr, env, row)?;
+            let v = eval(ctx, expr, row)?;
             Ok(Value::Bool(v.is_null() != *negated))
         }
         Expr::Function {
@@ -363,11 +357,11 @@ fn eval(ctx: &Ctx<'_>, expr: &Expr, env: &Env<'_>, row: &[Value]) -> Result<Valu
                     "DISTINCT specified, but {name} is not an aggregate function"
                 )));
             }
-            let vals: Result<Vec<Value>> = args.iter().map(|a| eval(ctx, a, env, row)).collect();
+            let vals: Result<Vec<Value>> = args.iter().map(|a| eval(ctx, a, row)).collect();
             ctx.db.call_scalar(name, &vals?)
         }
         Expr::ScalarCall { f, args } => {
-            let vals: Result<Vec<Value>> = args.iter().map(|a| eval(ctx, a, env, row)).collect();
+            let vals: Result<Vec<Value>> = args.iter().map(|a| eval(ctx, a, row)).collect();
             let vals = vals?;
             match &ctx.fns[*f] {
                 PlanFn::Udf(f) => f(ctx.db, &vals),
@@ -486,13 +480,7 @@ impl AggAcc {
 
     /// Fold one source row into the accumulator (NULL argument values are
     /// skipped, as in SQL aggregates).
-    fn update(
-        &mut self,
-        ctx: &Ctx<'_>,
-        call: &AggCall,
-        env: &Env<'_>,
-        row: &[Value],
-    ) -> Result<()> {
+    fn update(&mut self, ctx: &Ctx<'_>, call: &AggCall, row: &[Value]) -> Result<()> {
         if call.op == AggOp::CountStar {
             let AggAcc::Count(n) = self else {
                 unreachable!()
@@ -500,7 +488,7 @@ impl AggAcc {
             *n += 1;
             return Ok(());
         }
-        let v = eval(ctx, &call.args[0], env, row)?;
+        let v = eval(ctx, &call.args[0], row)?;
         if v.is_null() {
             return Ok(());
         }
@@ -571,9 +559,6 @@ fn grouped_groups<'r>(
     gp: &GroupPlan,
     rows: impl IntoIterator<Item = &'r Row>,
 ) -> Result<Vec<(Vec<Value>, Vec<Value>)>> {
-    let env = Env {
-        bindings: NO_BINDINGS,
-    };
     let mut index: HashMap<Vec<KeyAtom>, usize> = HashMap::new();
     let mut groups: Vec<(Vec<Value>, Vec<AggAcc>)> = Vec::new();
     let accs_new = || {
@@ -588,7 +573,7 @@ fn grouped_groups<'r>(
     let mut key: Vec<Value> = Vec::with_capacity(gp.keys.len());
     for r in rows {
         if let Some(p) = where_clause {
-            if !is_true(&eval(ctx, p, &env, r)?)? {
+            if !is_true(&eval(ctx, p, r)?)? {
                 continue;
             }
         }
@@ -597,7 +582,7 @@ fn grouped_groups<'r>(
         } else {
             key.clear();
             for e in &gp.keys {
-                key.push(eval(ctx, e, &env, r)?);
+                key.push(eval(ctx, e, r)?);
             }
             match index.entry(KeyAtom::row_key(&key)) {
                 Entry::Occupied(o) => *o.get(),
@@ -610,7 +595,7 @@ fn grouped_groups<'r>(
         };
         let (_, accs) = &mut groups[gi];
         for (acc, call) in accs.iter_mut().zip(&gp.aggs) {
-            acc.update(ctx, call, &env, r)?;
+            acc.update(ctx, call, r)?;
         }
     }
     // One memoized evaluation per (group, distinct call) — the
@@ -632,9 +617,6 @@ fn emit_groups(
     ops: &SelectOps,
     groups: Vec<(Vec<Value>, Vec<Value>)>,
 ) -> Result<Vec<(Vec<Value>, Row)>> {
-    let env = Env {
-        bindings: NO_BINDINGS,
-    };
     let mut keyed = Vec::with_capacity(groups.len());
     let Some(gp) = &ops.group else {
         unreachable!("emit_groups runs under a group plan");
@@ -647,17 +629,17 @@ fn emit_groups(
             group: Some(GroupVals { key, aggs }),
         };
         if let Some(h) = &gp.having {
-            if !is_true_in(&eval(&gctx, h, &env, &[])?, "HAVING")? {
+            if !is_true_in(&eval(&gctx, h, &[])?, "HAVING")? {
                 continue;
             }
         }
         let mut out = Vec::with_capacity(ops.projections.len());
         for e in &ops.projections {
-            out.push(eval(&gctx, e, &env, &[])?);
+            out.push(eval(&gctx, e, &[])?);
         }
         let mut sort_key = Vec::with_capacity(ops.order_by.len());
         for (e, _) in &ops.order_by {
-            sort_key.push(eval(&gctx, e, &env, &[])?);
+            sort_key.push(eval(&gctx, e, &[])?);
         }
         keyed.push((sort_key, out));
     }
@@ -698,31 +680,11 @@ pub struct Rows<'db> {
     state: RowsState<'db>,
 }
 
-/// Where a lazy cursor's operator pipeline lives.
-enum OpsSource {
-    /// The shared plan of a prepared statement — zero per-execution
-    /// expression clones.
-    Plan(Arc<PhysicalPlan>),
-    /// A pipeline resolved at execution time (dynamic scans).
-    Owned(Box<SelectOps>),
-}
-
-impl OpsSource {
-    fn ops(&self) -> &SelectOps {
-        match self {
-            OpsSource::Plan(p) => match &**p {
-                PhysicalPlan::StaticSelect(sp) => &sp.ops,
-                _ => unreachable!("lazy cursors only reference SELECT plans"),
-            },
-            OpsSource::Owned(o) => o,
-        }
-    }
-}
-
 struct LazyScan<'db> {
     db: &'db Database,
     params: Vec<Value>,
-    ops: OpsSource,
+    /// The shared plan — holds the operator pipeline and fns table.
+    plan: Arc<PhysicalPlan>,
     source: std::vec::IntoIter<Row>,
     /// DISTINCT: projected rows already emitted.
     seen: Option<HashSet<Vec<KeyAtom>>>,
@@ -861,9 +823,6 @@ impl MvccScan<'_> {
             fns: &sp.ops.fns,
             group: None,
         };
-        let env = Env {
-            bindings: NO_BINDINGS,
-        };
         let guard = handle.read();
         let nshards = guard.shard_count();
         // Refill shard by shard: only the shard being drained is read-
@@ -913,7 +872,7 @@ impl MvccScan<'_> {
                 *examined += 1;
                 let r = &v.data;
                 if let Some(p) = &z.where_clause {
-                    if !is_true(&eval(&ctx, p, &env, r)?)? {
+                    if !is_true(&eval(&ctx, p, r)?)? {
                         continue;
                     }
                 }
@@ -921,7 +880,7 @@ impl MvccScan<'_> {
                     Some(slots) => slots.iter().map(|&s| r[s].clone()).collect(),
                     None => projections
                         .iter()
-                        .map(|e| eval(&ctx, e, &env, r))
+                        .map(|e| eval(&ctx, e, r))
                         .collect::<Result<_>>()?,
                 };
                 if let Some(seen) = seen.as_mut() {
@@ -1103,21 +1062,21 @@ impl Iterator for Rows<'_> {
                 if scan.failed || scan.remaining == 0 {
                     return None;
                 }
-                let ops = scan.ops.ops();
+                let PhysicalPlan::StaticSelect(sp) = &*scan.plan else {
+                    unreachable!("lazy cursors hold a SELECT plan");
+                };
+                let ops = &sp.ops;
                 let ctx = Ctx {
                     db: scan.db,
                     params: &scan.params,
                     fns: &ops.fns,
                     group: None,
                 };
-                let env = Env {
-                    bindings: NO_BINDINGS,
-                };
                 loop {
                     let r = scan.source.next()?;
                     match &ops.where_clause {
                         None => {}
-                        Some(p) => match eval(&ctx, p, &env, &r).and_then(|v| is_true(&v)) {
+                        Some(p) => match eval(&ctx, p, &r).and_then(|v| is_true(&v)) {
                             Ok(true) => {}
                             Ok(false) => continue,
                             Err(e) => {
@@ -1128,7 +1087,7 @@ impl Iterator for Rows<'_> {
                     }
                     let mut out = Vec::with_capacity(ops.projections.len());
                     for e in &ops.projections {
-                        match eval(&ctx, e, &env, &r) {
+                        match eval(&ctx, e, &r) {
                             Ok(v) => out.push(v),
                             Err(e) => {
                                 scan.failed = true;
@@ -1210,18 +1169,17 @@ fn cross_join(rows: Vec<Row>, trows: Vec<Row>) -> Vec<Row> {
     next
 }
 
-/// Scan the base tables of a static plan into the joined row set,
-/// re-checking each table's schema against the plan under the same guard
-/// the rows are snapshotted from (so `Slot` indices stay in bounds and
-/// keep pointing at the planned columns). Only the columns the statement
-/// actually reads are cloned — the snapshot is column-pruned.
-fn scan_tables(
-    db: &Database,
-    tables: &[String],
-    schemas: &[Vec<String>],
-    used_cols: &[Vec<usize>],
-    hash_join: Option<&HashJoin>,
-) -> Result<Vec<Row>> {
+/// Scan the FROM items of a SELECT plan into the joined row set. Every
+/// table is read first, at one snapshot, and its schema re-checked
+/// against the plan under the guard the rows come from (so `Slot`
+/// indices stay in bounds and keep pointing at the planned columns); only
+/// the columns the statement reads are cloned. Then the items join left
+/// to right: each table cross-joins, and each function is called once per
+/// joined row so far, with no guard held, since functions may re-enter
+/// the database. A function's writes are thus invisible to every table of
+/// the statement, as in PostgreSQL.
+fn scan_tables(db: &Database, sp: &StaticSelectPlan, params: &[Value]) -> Result<Vec<Row>> {
+    let tables: Vec<&ScanItem> = sp.from.iter().filter(|i| i.call.is_none()).collect();
     // Hold every distinct table's read guard *simultaneously* (acquired
     // in pointer order — the commit path's lock order) and load one
     // snapshot under them: the projections below are point-in-time
@@ -1230,7 +1188,7 @@ fn scan_tables(
     // between this snapshot and the reads it covers.
     let handles: Vec<_> = tables
         .iter()
-        .map(|n| db.get_table(n))
+        .map(|t| db.get_table(&t.name))
         .collect::<Result<Vec<_>>>()?;
     let mut distinct: Vec<&Arc<parking_lot::RwLock<Table>>> = handles.iter().collect();
     distinct.sort_by_key(|h| Arc::as_ptr(h) as usize);
@@ -1241,24 +1199,22 @@ fn scan_tables(
         .collect();
     let snap = db.current_snapshot();
     let mut scanned: Vec<Vec<Row>> = Vec::with_capacity(tables.len());
-    for ((name, planned), (used, handle)) in tables
-        .iter()
-        .zip(schemas)
-        .zip(used_cols.iter().zip(&handles))
-    {
+    for (t, handle) in tables.iter().zip(&handles) {
         let key = Arc::as_ptr(handle) as usize;
         let (_, guard) = guards
             .iter()
             .find(|(p, _)| *p == key)
             .expect("every scanned table has a held guard");
-        if !schema_matches(&guard.schema, planned) {
-            return Err(stale_plan(name));
+        if !schema_matches(&guard.schema, &t.columns) {
+            return Err(stale_plan(&t.name));
         }
-        let trows = guard.project_rows(used, snap);
+        let trows = guard.project_rows(&t.used, snap);
         db.note_scan(trows.len() as u64, false);
         scanned.push(trows);
     }
-    if let Some(hj) = hash_join {
+    // Functions run with no guard held: they may re-enter the database.
+    drop(guards);
+    if let Some(hj) = &sp.hash_join {
         debug_assert_eq!(scanned.len(), 2, "hash joins are planned for two tables");
         let right = scanned.pop().expect("two scanned tables");
         let left = scanned.pop().expect("two scanned tables");
@@ -1269,12 +1225,48 @@ fn scan_tables(
             left,
             right,
             hj.left_slot,
-            hj.right_slot - used_cols[0].len(),
+            hj.right_slot - sp.from[0].used.len(),
         );
     }
+    let ctx = Ctx {
+        db,
+        params,
+        fns: &sp.ops.fns,
+        group: None,
+    };
+    let mut scanned = scanned.into_iter();
     let mut rows: Vec<Row> = vec![Vec::new()];
-    for trows in scanned {
-        rows = cross_join(rows, trows);
+    for item in &sp.from {
+        let Some(call) = &item.call else {
+            rows = cross_join(rows, scanned.next().expect("every table was scanned"));
+            continue;
+        };
+        let mut next = Vec::new();
+        for base in &rows {
+            let args = call
+                .args
+                .iter()
+                .map(|a| eval(&ctx, a, base))
+                .collect::<Result<Vec<_>>>()?;
+            for fr in (call.f)(db, &args)? {
+                if fr.len() != item.columns.len() {
+                    return Err(SqlError::Execution(format!(
+                        "function {} returned a row of {} values, but declares {} columns",
+                        item.name,
+                        fr.len(),
+                        item.columns.len()
+                    )));
+                }
+                if base.is_empty() {
+                    next.push(fr);
+                } else {
+                    let mut r = base.clone();
+                    r.extend(fr);
+                    next.push(r);
+                }
+            }
+        }
+        rows = next;
     }
     Ok(rows)
 }
@@ -1341,144 +1333,36 @@ fn hash_join_rows(
     Ok(out)
 }
 
-/// Evaluate a dynamic FROM clause left to right (set-returning functions
-/// join laterally and may re-enter the database), returning the runtime
-/// bindings and the joined row set.
-fn scan_from(
-    db: &Database,
-    params: &[Value],
-    from: &[FromItem],
-) -> Result<(Vec<Binding>, Vec<Row>)> {
-    let ctx = Ctx {
-        db,
-        params,
-        fns: NO_FNS,
-        group: None,
-    };
-    let mut bindings: Vec<Binding> = Vec::new();
-    let mut rows: Vec<Row> = vec![Vec::new()];
-    for item in from {
-        match item {
-            FromItem::Table { name, alias } => {
-                let table = db.get_table(name)?;
-                let (cols, trows) = {
-                    let guard = table.read();
-                    // Loaded under the guard so writers cannot
-                    // intervene; set-returning functions interleave and
-                    // may themselves write, so a dynamic FROM reads each
-                    // table at its own statement-time snapshot.
-                    let snap = db.current_snapshot();
-                    let trows: Vec<Row> = guard.snapshot_rows(snap);
-                    db.note_scan(trows.len() as u64, false);
-                    (
-                        guard
-                            .schema
-                            .columns
-                            .iter()
-                            .map(|c| c.name.clone())
-                            .collect::<Vec<_>>(),
-                        trows,
-                    )
-                };
-                bindings.push(Binding {
-                    qualifier: alias.clone().unwrap_or_else(|| name.clone()),
-                    columns: cols,
-                    offset: bindings.last().map_or(0, |b| b.offset + b.columns.len()),
-                });
-                rows = cross_join(rows, trows);
-            }
-            FromItem::Function { name, args, alias } => {
-                let env = Env {
-                    bindings: &bindings,
-                };
-                let mut next = Vec::new();
-                let mut out_cols: Option<Vec<String>> = None;
-                for base in &rows {
-                    let vals: Result<Vec<Value>> =
-                        args.iter().map(|a| eval(&ctx, a, &env, base)).collect();
-                    let result = db.call_table_fn(name, &vals?)?;
-                    // A columnless empty result (a STRICT function's NULL
-                    // short-circuit) contributes zero rows without pinning
-                    // the schema — other input rows may still produce real
-                    // output.
-                    if result.columns.is_empty() && result.rows.is_empty() {
-                        continue;
-                    }
-                    let mut cols = result.columns.clone();
-                    // Single-column SRFs adopt the alias as the column name,
-                    // as PostgreSQL does for `generate_series(…) AS id`.
-                    if cols.len() == 1 {
-                        if let Some(a) = alias {
-                            cols = vec![a.to_ascii_lowercase()];
-                        }
-                    }
-                    match &out_cols {
-                        None => out_cols = Some(cols),
-                        Some(prev) if *prev == cols => {}
-                        Some(_) => {
-                            return Err(SqlError::Execution(format!(
-                                "function {name} returned inconsistent schemas across rows"
-                            )))
-                        }
-                    }
-                    for fr in result.rows {
-                        if base.is_empty() {
-                            next.push(fr);
-                        } else {
-                            let mut r = base.clone();
-                            r.extend(fr);
-                            next.push(r);
-                        }
-                    }
-                }
-                let cols = out_cols.unwrap_or_default();
-                bindings.push(Binding {
-                    qualifier: item.binding_name().to_ascii_lowercase(),
-                    columns: cols,
-                    offset: bindings.last().map_or(0, |b| b.offset + b.columns.len()),
-                });
-                rows = next;
-            }
-        }
-    }
-    Ok((bindings, rows))
-}
-
 /// Run the resolved operator pipeline over the scanned rows: either a
 /// lazy cursor (plain SELECT) or an eager materialization (pipeline
 /// breakers present).
 fn run_select<'db>(
     db: &'db Database,
-    ops_src: OpsSource,
+    plan: &Arc<PhysicalPlan>,
     source: Vec<Row>,
     params: &[Value],
 ) -> Result<Rows<'db>> {
-    let (lazy, columns, distinct, limit) = {
-        let ops = ops_src.ops();
-        (
-            ops.group.is_none() && ops.order_by.is_empty() && ops.distinct_order.is_empty(),
-            ops.columns.clone(),
-            ops.distinct,
-            ops.limit,
-        )
+    let PhysicalPlan::StaticSelect(sp) = &**plan else {
+        unreachable!("run_select takes a SELECT plan");
     };
-    if lazy {
+    let ops = &sp.ops;
+    if ops.group.is_none() && ops.order_by.is_empty() && ops.distinct_order.is_empty() {
         return Ok(Rows {
-            columns,
+            columns: ops.columns.clone(),
             state: RowsState::Lazy(Box::new(LazyScan {
                 db,
                 params: params.to_vec(),
-                ops: ops_src,
+                plan: Arc::clone(plan),
                 source: source.into_iter(),
-                seen: distinct.then(HashSet::new),
-                remaining: limit,
+                seen: ops.distinct.then(HashSet::new),
+                remaining: ops.limit,
                 failed: false,
             })),
         });
     }
-    let rows = materialize(db, ops_src.ops(), source, params)?;
+    let rows = materialize(db, ops, source, params)?;
     Ok(Rows {
-        columns,
+        columns: ops.columns.clone(),
         state: RowsState::Done(rows.into_iter()),
     })
 }
@@ -1497,9 +1381,6 @@ fn materialize(
         fns: &ops.fns,
         group: None,
     };
-    let env = Env {
-        bindings: NO_BINDINGS,
-    };
 
     if let Some(gp) = &ops.group {
         // Grouping applies its own WHERE during the accumulation sweep.
@@ -1512,7 +1393,7 @@ fn materialize(
     if let Some(pred) = &ops.where_clause {
         let mut kept = Vec::with_capacity(rows.len());
         for r in rows {
-            if is_true(&eval(&ctx, pred, &env, &r)?)? {
+            if is_true(&eval(&ctx, pred, &r)?)? {
                 kept.push(r);
             }
         }
@@ -1526,7 +1407,7 @@ fn materialize(
         for r in &rows {
             let mut out = Vec::with_capacity(ops.projections.len());
             for e in &ops.projections {
-                out.push(eval(&ctx, e, &env, r)?);
+                out.push(eval(&ctx, e, r)?);
             }
             keyed.push((Vec::new(), out));
         }
@@ -1537,7 +1418,7 @@ fn materialize(
         for r in rows {
             let mut sort_key = Vec::with_capacity(ops.order_by.len());
             for (e, _) in &ops.order_by {
-                sort_key.push(eval(&ctx, e, &env, &r)?);
+                sort_key.push(eval(&ctx, e, &r)?);
             }
             keyed.push((sort_key, r));
         }
@@ -1551,7 +1432,7 @@ fn materialize(
     for (_, r) in keyed.into_iter().take(ops.limit) {
         let mut out = Vec::with_capacity(ops.projections.len());
         for e in &ops.projections {
-            out.push(eval(&ctx, e, &env, &r)?);
+            out.push(eval(&ctx, e, &r)?);
         }
         out_rows.push(out);
     }
@@ -1615,15 +1496,12 @@ fn probe_access(
     if meta.column != a.column {
         return Ok(None);
     }
-    let env = Env {
-        bindings: NO_BINDINGS,
-    };
     let lo = match &a.lo {
-        Some(e) => Some(eval(ctx, e, &env, &[])?),
+        Some(e) => Some(eval(ctx, e, &[])?),
         None => None,
     };
     let hi = match &a.hi {
-        Some(e) => Some(eval(ctx, e, &env, &[])?),
+        Some(e) => Some(eval(ctx, e, &[])?),
         None => None,
     };
     Ok(view.probe(ordinal, a.space, lo.as_ref(), hi.as_ref()))
@@ -1754,15 +1632,13 @@ fn run_static_select<'db>(
     // copied into an input snapshot, and only the projection of rows
     // that are snapshot-visible and survive the filter is materialized.
     if let Some(z) = &sp.zero {
-        let handle = db.get_table(&sp.tables[0])?;
+        let table = &sp.from[0];
+        let handle = db.get_table(&table.name)?;
         let ctx = Ctx {
             db,
             params,
             fns: &sp.ops.fns,
             group: None,
-        };
-        let env = Env {
-            bindings: NO_BINDINGS,
         };
         match &z.kind {
             // Grouped: the accumulation sweep folds borrowed rows under
@@ -1771,8 +1647,8 @@ fn run_static_select<'db>(
             ZeroScanKind::Grouped(gp) => {
                 let groups = {
                     let guard = handle.read();
-                    if !schema_matches(&guard.schema, &sp.schemas[0]) {
-                        return Err(stale_plan(&sp.tables[0]));
+                    if !schema_matches(&guard.schema, &table.columns) {
+                        return Err(stale_plan(&table.name));
                     }
                     let snap = db.current_snapshot();
                     let tview = guard.view();
@@ -1845,7 +1721,7 @@ fn run_static_select<'db>(
                         None => {
                             let mut out = Vec::with_capacity(projections.len());
                             for e in projections {
-                                out.push(eval(&ctx, e, &env, r)?);
+                                out.push(eval(&ctx, e, r)?);
                             }
                             Ok(out)
                         }
@@ -1862,8 +1738,8 @@ fn run_static_select<'db>(
                     // stay invisible to the stream).
                     let (snap, cand) = {
                         let guard = handle.read();
-                        if !schema_matches(&guard.schema, &sp.schemas[0]) {
-                            return Err(stale_plan(&sp.tables[0]));
+                        if !schema_matches(&guard.schema, &table.columns) {
+                            return Err(stale_plan(&table.name));
                         }
                         // Pin before loading the snapshot so compaction
                         // cannot renumber versions under the cursor (the
@@ -1913,8 +1789,8 @@ fn run_static_select<'db>(
                 // the sort (and DISTINCT + LIMIT) runs on those pruned
                 // projections after the guard drops.
                 let guard = handle.read();
-                if !schema_matches(&guard.schema, &sp.schemas[0]) {
-                    return Err(stale_plan(&sp.tables[0]));
+                if !schema_matches(&guard.schema, &table.columns) {
+                    return Err(stale_plan(&table.name));
                 }
                 let snap = db.current_snapshot();
                 let tview = guard.view();
@@ -1924,13 +1800,13 @@ fn run_static_select<'db>(
                 let mut keyed: Vec<(Vec<Value>, Row)> = Vec::new();
                 let per_row = |keyed: &mut Vec<(Vec<Value>, Row)>, r: &Row| -> Result<()> {
                     if let Some(p) = &z.where_clause {
-                        if !is_true(&eval(&ctx, p, &env, r)?)? {
+                        if !is_true(&eval(&ctx, p, r)?)? {
                             return Ok(());
                         }
                     }
                     let mut sort_key = Vec::with_capacity(order_by.len());
                     for (e, _) in order_by {
-                        sort_key.push(eval(&ctx, e, &env, r)?);
+                        sort_key.push(eval(&ctx, e, r)?);
                     }
                     keyed.push((sort_key, project(r)?));
                     Ok(())
@@ -1982,24 +1858,8 @@ fn run_static_select<'db>(
             }
         }
     }
-    let rows = scan_tables(
-        db,
-        &sp.tables,
-        &sp.schemas,
-        &sp.used_cols,
-        sp.hash_join.as_ref(),
-    )?;
-    run_select(db, OpsSource::Plan(Arc::clone(plan)), rows, params)
-}
-
-fn run_dynamic_select<'db>(
-    db: &'db Database,
-    sel: &SelectStmt,
-    params: &[Value],
-) -> Result<Rows<'db>> {
-    let (bindings, rows) = scan_from(db, params, &sel.from)?;
-    let ops = crate::plan::build_select(db, sel, &bindings)?;
-    run_select(db, OpsSource::Owned(Box::new(ops)), rows, params)
+    let rows = scan_tables(db, sp, params)?;
+    run_select(db, plan, rows, params)
 }
 
 // ---------------------------------------------------------------------------
@@ -2094,24 +1954,16 @@ fn run_insert<'db>(
                 fns: NO_FNS,
                 group: None,
             };
-            let env = Env {
-                bindings: NO_BINDINGS,
-            };
             rows.iter()
-                .map(|row| row.iter().map(|e| eval(&ctx, e, &env, &[])).collect())
+                .map(|row| row.iter().map(|e| eval(&ctx, e, &[])).collect())
                 .collect::<Result<Vec<Row>>>()?
         }
-        InsertSource::Select(sel) => {
+        InsertSource::Select(_) => {
             let src_plan = ip
                 .source
                 .as_ref()
                 .expect("INSERT … SELECT has a source plan");
-            let src = match &**src_plan {
-                PhysicalPlan::StaticSelect(_) => run_static_select(db, src_plan, params)?,
-                PhysicalPlan::DynamicSelect => run_dynamic_select(db, sel, params)?,
-                _ => unreachable!("INSERT source compiles to a SELECT plan"),
-            };
-            src.into_result()?.rows
+            run_static_select(db, src_plan, params)?.into_result()?.rows
         }
     };
     let n = db.append_rows(&handle, rows, |r| map_insert_row(r, ip))?;
@@ -2133,9 +1985,6 @@ fn run_dml<'db>(db: &'db Database, dp: &DmlPlan, params: &[Value]) -> Result<Row
         fns: &dp.fns,
         group: None,
     };
-    let env = Env {
-        bindings: NO_BINDINGS,
-    };
     let handle = db.get_table(&dp.table)?;
     let txn = db.write_txn();
     if let WriteTxn::Txn { .. } = txn {
@@ -2148,14 +1997,14 @@ fn run_dml<'db>(db: &'db Database, dp: &DmlPlan, params: &[Value]) -> Result<Row
     // the old row with each SET value coerced to its column type.
     let mut visit = |rid: Rid, r: &Row, schema: &Schema| -> Result<()> {
         if let Some(p) = &dp.where_clause {
-            if !is_true(&eval(&ctx, p, &env, r)?)? {
+            if !is_true(&eval(&ctx, p, r)?)? {
                 return Ok(());
             }
         }
         if !dp.sets.is_empty() {
             let mut new = r.clone();
             for (e, &c) in dp.sets.iter().zip(&dp.set_idx) {
-                new[c] = eval(&ctx, e, &env, r)?.coerce_to(schema.columns[c].dtype)?;
+                new[c] = eval(&ctx, e, r)?.coerce_to(schema.columns[c].dtype)?;
             }
             successors.push(new);
         }
@@ -2366,12 +2215,6 @@ pub(crate) fn execute<'db>(
     }
     let result = match &**plan {
         PhysicalPlan::StaticSelect(_) => run_static_select(db, plan, params),
-        PhysicalPlan::DynamicSelect => {
-            let Stmt::Select(sel) = stmt else {
-                unreachable!("dynamic SELECT plan compiled from a non-SELECT statement");
-            };
-            run_dynamic_select(db, sel, params)
-        }
         PhysicalPlan::Insert(ip) => run_insert(db, stmt, ip, params),
         PhysicalPlan::Update(dp) | PhysicalPlan::Delete(dp) => run_dml(db, dp, params),
         PhysicalPlan::Explain(lines) => {

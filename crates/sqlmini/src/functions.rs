@@ -17,15 +17,16 @@ use crate::counters::Stat;
 use crate::db::Database;
 use crate::error::{Result, SqlError};
 use crate::exec::in_range;
-use crate::table::QueryResult;
+use crate::table::Row;
 use crate::udf::ArgKind;
 use crate::value::Value;
 
 /// A scalar UDF: `(db, args) -> value`.
 pub type ScalarFn = Arc<dyn Fn(&Database, &[Value]) -> Result<Value> + Send + Sync>;
 
-/// A set-returning UDF: `(db, args) -> table`.
-pub type TableFn = Arc<dyn Fn(&Database, &[Value]) -> Result<QueryResult> + Send + Sync>;
+/// A set-returning UDF: `(db, args) -> rows`, each row holding one value
+/// per column the function declared when it was registered.
+pub type TableFn = Arc<dyn Fn(&Database, &[Value]) -> Result<Vec<Row>> + Send + Sync>;
 
 /// Pure single-argument builtins the planner may evaluate natively —
 /// no registry dispatch, no argument-coercion allocation, and (because
@@ -108,7 +109,9 @@ pub fn register_builtin_scalars(db: &Database) {
             match args.opt_i64(1) {
                 None => Ok(Value::Float(x.round())),
                 Some(d) => {
-                    let scale = 10f64.powi(d as i32);
+                    let d = i32::try_from(d)
+                        .map_err(|_| SqlError::Execution("integer out of range".into()))?;
+                    let scale = 10f64.powi(d);
                     Ok(Value::Float((x * scale).round() / scale))
                 }
             }
@@ -226,84 +229,71 @@ pub fn register_builtin_table_fns(db: &Database) {
     // the raw values of a variadic signature.
     db.udf("generate_series")
         .variadic(ArgKind::Any)
-        .table(|_db, args| {
-            let mut q = QueryResult::new(vec!["generate_series".into()]);
-            match args.raw() {
-                [Value::Int(a), Value::Int(b)] => {
-                    for v in *a..=*b {
-                        q.rows.push(vec![Value::Int(v)]);
-                    }
+        .table(&["generate_series"], |_db, args| match args.raw() {
+            [Value::Int(a), Value::Int(b)] => Ok((*a..=*b).map(|v| vec![Value::Int(v)]).collect()),
+            [Value::Int(a), Value::Int(b), Value::Int(step)] => {
+                if *step == 0 {
+                    return Err(SqlError::Execution(
+                        "generate_series step cannot be zero".into(),
+                    ));
                 }
-                [Value::Int(a), Value::Int(b), Value::Int(step)] => {
-                    if *step == 0 {
-                        return Err(SqlError::Execution(
-                            "generate_series step cannot be zero".into(),
-                        ));
-                    }
-                    // The series also ends where the next step would
-                    // leave the integer range, as in PostgreSQL.
-                    let before_end = |x: &i64| if *step > 0 { x <= b } else { x >= b };
-                    let series = std::iter::successors(Some(*a), |x| x.checked_add(*step));
-                    q.rows = series
-                        .take_while(before_end)
-                        .map(|x| vec![Value::Int(x)])
-                        .collect();
-                }
-                [Value::Timestamp(a), Value::Timestamp(b), Value::Interval(step)] => {
-                    if *step <= 0 {
-                        return Err(SqlError::Execution(
-                            "generate_series interval must be positive".into(),
-                        ));
-                    }
-                    let series = std::iter::successors(Some(*a), |t| t.checked_add(*step));
-                    q.rows = series
-                        .take_while(|t| t <= b)
-                        .map(|t| vec![Value::Timestamp(t)])
-                        .collect();
-                }
-                _ => {
-                    return Err(SqlError::Type(
-                        "generate_series expects (int, int[, int]) or \
-                         (timestamp, timestamp, interval)"
-                            .into(),
-                    ))
-                }
+                // The series also ends where the next step would leave
+                // the integer range, as in PostgreSQL.
+                let before_end = |x: &i64| if *step > 0 { x <= b } else { x >= b };
+                let series = std::iter::successors(Some(*a), |x| x.checked_add(*step));
+                Ok(series
+                    .take_while(before_end)
+                    .map(|x| vec![Value::Int(x)])
+                    .collect())
             }
-            Ok(q)
+            [Value::Timestamp(a), Value::Timestamp(b), Value::Interval(step)] => {
+                if *step <= 0 {
+                    return Err(SqlError::Execution(
+                        "generate_series interval must be positive".into(),
+                    ));
+                }
+                let series = std::iter::successors(Some(*a), |t| t.checked_add(*step));
+                Ok(series
+                    .take_while(|t| t <= b)
+                    .map(|t| vec![Value::Timestamp(t)])
+                    .collect())
+            }
+            _ => Err(SqlError::Type(
+                "generate_series expects (int, int[, int]) or \
+                 (timestamp, timestamp, interval)"
+                    .into(),
+            )),
         });
 
     // Engine observability: every registry statistic, then per-UDF call
     // counts, as a queryable relation `(stat text, value bigint)`.
-    db.udf("pgfmu_stats").table(|db, _args| {
-        let registry = Stat::ALL
-            .iter()
-            .map(|&s| (s.name().to_string(), db.stat(s)));
-        let calls = db
-            .udf_call_counts()
-            .into_iter()
-            .filter(|&(_, count)| count > 0)
-            .map(|(name, count)| (format!("calls.{name}"), count));
-        let mut q = QueryResult::new(vec!["stat".into(), "value".into()]);
-        q.rows = registry
-            .chain(calls)
-            .map(|(stat, value)| vec![Value::Text(stat), Value::Int(value as i64)])
-            .collect();
-        Ok(q)
-    });
+    db.udf("pgfmu_stats")
+        .table(&["stat", "value"], |db, _args| {
+            let registry = Stat::ALL
+                .iter()
+                .map(|&s| (s.name().to_string(), db.stat(s)));
+            let calls = db
+                .udf_call_counts()
+                .into_iter()
+                .filter(|&(_, count)| count > 0)
+                .map(|(name, count)| (format!("calls.{name}"), count));
+            Ok(registry
+                .chain(calls)
+                .map(|(stat, value)| vec![Value::Text(stat), Value::Int(value as i64)])
+                .collect())
+        });
 
     // Statistics refresh from SQL: `pgfmu_analyze()` recollects planner
     // statistics for every table (or one named table) and returns the
     // analyzed row counts, mirroring `ANALYZE` as a queryable relation.
     db.udf("pgfmu_analyze")
         .opt_arg("table", ArgKind::Text)
-        .table(|db, args| {
-            let table = args.opt_text(0);
-            let mut q = QueryResult::new(vec!["table".into(), "rows".into()]);
-            for (name, rows) in db.analyze(table)? {
-                q.rows
-                    .push(vec![Value::Text(name), Value::Int(rows as i64)]);
-            }
-            Ok(q)
+        .table(&["table", "rows"], |db, args| {
+            Ok(db
+                .analyze(args.opt_text(0))?
+                .into_iter()
+                .map(|(name, rows)| vec![Value::Text(name), Value::Int(rows as i64)])
+                .collect())
         });
 }
 

@@ -6,26 +6,24 @@
 //! parameters against a shared operator tree instead of re-resolving (or
 //! cloning) any expression per execution:
 //!
-//! * **Static SELECTs** (every FROM item is a base table) resolve
-//!   completely at plan time: wildcards expand against the table schemas,
-//!   GROUP BY / ORDER BY ordinals and output aliases resolve to
-//!   projection expressions, and every column reference is rewritten to a
-//!   positional [`Expr::Slot`] — per-row evaluation never touches the
-//!   name environment again.
+//! * **SELECTs** resolve completely at plan time. Each FROM item binds
+//!   its columns: a table's schema, or a function's declared output
+//!   columns. Wildcards expand against them, GROUP BY / ORDER BY ordinals
+//!   and output aliases resolve to projection expressions, and every
+//!   column reference is rewritten to a positional [`Expr::Slot`] — the
+//!   executor never resolves a name. A function's arguments resolve
+//!   against the items to its left only (LATERAL).
 //! * **Grouped queries** are lowered once: subtrees matching a GROUP BY
 //!   key become [`Expr::GroupKey`] references, aggregate calls are
 //!   deduplicated by expression identity into the plan's [`AggCall`] list
 //!   and replaced by [`Expr::Agg`] references — so each distinct
 //!   aggregate is computed exactly once per group at execution, no matter
 //!   how often it appears across the select list, HAVING and ORDER BY.
-//! * **Dynamic SELECTs** (a set-returning function appears in FROM) only
-//!   know their scan schema at execution time; the same resolution and
-//!   lowering run per execution against the runtime bindings, feeding the
-//!   identical execution operators.
 //!
 //! Plans are invalidated by DDL: the [`crate::Database`] keeps a schema
-//! epoch that CREATE/DROP TABLE bump, and a cached plan compiled under an
-//! older epoch is recompiled on its next execution.
+//! epoch that CREATE/DROP TABLE and function (re-)registration bump, and
+//! a cached plan compiled under an older epoch is recompiled on its next
+//! execution.
 
 use std::sync::Arc;
 
@@ -36,7 +34,7 @@ use crate::ast::{
 use crate::cost::{self, IndexChoice};
 use crate::db::Database;
 use crate::error::{Result, SqlError};
-use crate::functions::ScalarFn;
+use crate::functions::{ScalarFn, TableFn};
 use crate::value::{DataType, Value};
 
 /// One FROM item's contribution to the name environment.
@@ -50,7 +48,7 @@ pub(crate) struct Binding {
     pub offset: usize,
 }
 
-/// Name environment over a flattened joined row.
+/// Plan-time name environment over a flattened joined row.
 pub(crate) struct Env<'a> {
     pub bindings: &'a [Binding],
 }
@@ -75,10 +73,17 @@ impl Env<'_> {
                 found = Some(b.offset + i);
             }
         }
-        found.ok_or_else(|| match table {
-            Some(t) => SqlError::UnknownColumn(format!("{t}.{name}")),
-            None => SqlError::UnknownColumn(name),
-        })
+        found.ok_or_else(|| unknown_column(table, &name))
+    }
+}
+
+/// PostgreSQL's error for a column reference that names no column in
+/// scope.
+pub(crate) fn unknown_column(table: Option<&str>, name: &str) -> SqlError {
+    let name = name.to_ascii_lowercase();
+    match table {
+        Some(t) => SqlError::UnknownColumn(format!("{t}.{name}")),
+        None => SqlError::UnknownColumn(name),
     }
 }
 
@@ -88,12 +93,8 @@ impl Env<'_> {
 
 /// A compiled statement, shared immutably between executions.
 pub(crate) enum PhysicalPlan {
-    /// SELECT over base tables only — fully resolved at plan time.
+    /// SELECT — fully resolved at plan time.
     StaticSelect(Box<StaticSelectPlan>),
-    /// SELECT with set-returning functions in FROM: the scan schema is
-    /// only known at execution, so resolution and lowering re-run per
-    /// execution (feeding the same operators as the static path).
-    DynamicSelect,
     /// INSERT with its target column mapping resolved.
     Insert(InsertPlan),
     /// UPDATE with its SET targets and expressions resolved.
@@ -107,19 +108,10 @@ pub(crate) enum PhysicalPlan {
     Other,
 }
 
-/// A fully resolved SELECT over base tables.
+/// A fully resolved SELECT.
 pub(crate) struct StaticSelectPlan {
-    /// Scanned tables in join order (lower-case names).
-    pub tables: Vec<String>,
-    /// Column names of each scanned table at plan time. The scan
-    /// re-checks these under its read guard: a concurrent DROP+CREATE
-    /// between the epoch check and the scan must surface as a stale-plan
-    /// error, never as an out-of-bounds (or silently remapped) `Slot`.
-    pub schemas: Vec<Vec<String>>,
-    /// Per scanned table: the column indices the statement actually
-    /// reads, ascending. Snapshot scans clone only these columns; the
-    /// pruned row is the concatenation of each table's used columns.
-    pub used_cols: Vec<Vec<usize>>,
+    /// FROM items in join order.
+    pub from: Vec<ScanItem>,
     /// The resolved operator pipeline. Every expression addresses the
     /// **pruned** row layout.
     pub ops: SelectOps,
@@ -133,6 +125,33 @@ pub(crate) struct StaticSelectPlan {
     /// build a hash table over the right table's join keys, probe with
     /// the left. Slots address the pruned concatenated row layout.
     pub hash_join: Option<HashJoin>,
+}
+
+/// One FROM item of a SELECT: a base table or a function scan.
+pub(crate) struct ScanItem {
+    /// Table or function name (lower-case).
+    pub name: String,
+    /// Column names at plan time: a function's declared output columns,
+    /// or a table's schema. The scan re-checks a table's under its read
+    /// guard: a concurrent DROP+CREATE between the epoch check and the
+    /// scan must surface as a stale-plan error, never as an
+    /// out-of-bounds (or silently remapped) `Slot`.
+    pub columns: Vec<String>,
+    /// The column indices the statement actually reads, ascending; every
+    /// column of a function. Snapshot scans clone only these columns; the
+    /// pruned row is the concatenation of each item's used columns.
+    pub used: Vec<usize>,
+    /// The function of a function scan; `None` for a table.
+    pub call: Option<FunctionScan>,
+}
+
+/// A function in FROM, called once per joined row of the items to its
+/// left.
+pub(crate) struct FunctionScan {
+    /// The function's body; a scalar function returns its one row.
+    pub f: TableFn,
+    /// Arguments in the pruned layout of the items to the left (LATERAL).
+    pub args: Vec<Expr>,
 }
 
 /// A cost-chosen hash equi-join between the two scanned tables.
@@ -424,7 +443,7 @@ pub(crate) fn compile(db: &Database, stmt: &Stmt) -> Result<PhysicalPlan> {
         }
         Stmt::Explain(inner) => {
             let plan = compile(db, inner)?;
-            Ok(PhysicalPlan::Explain(render_plan(inner, &plan)?))
+            Ok(PhysicalPlan::Explain(render_plan(&plan)?))
         }
         Stmt::CreateTable { .. }
         | Stmt::DropTable { .. }
@@ -584,49 +603,69 @@ fn compile_select(db: &Database, sel: &SelectStmt) -> Result<PhysicalPlan> {
             }
         }
     }
-    if sel
-        .from
-        .iter()
-        .any(|i| matches!(i, FromItem::Function { .. }))
-    {
-        return Ok(PhysicalPlan::DynamicSelect);
-    }
 
-    // All-table FROM: the scan schema is known now — resolve everything.
+    // Bind the FROM items left to right. A function's arguments see only
+    // the items to its left (LATERAL); the function is looked up here,
+    // once.
+    let mut resolver = Resolver {
+        db,
+        names: Vec::new(),
+        fns: Vec::new(),
+    };
     let mut bindings: Vec<Binding> = Vec::with_capacity(sel.from.len());
-    let mut tables = Vec::with_capacity(sel.from.len());
+    let mut from = Vec::with_capacity(sel.from.len());
     for item in &sel.from {
-        let FromItem::Table { name, alias } = item else {
-            unreachable!("function FROM items take the dynamic path");
+        let (name, columns, call) = match item {
+            FromItem::Table { name, .. } => {
+                let handle = db.get_table(name)?;
+                let cols: Vec<String> = handle
+                    .read()
+                    .schema
+                    .columns
+                    .iter()
+                    .map(|c| c.name.clone())
+                    .collect();
+                (name, cols, None)
+            }
+            FromItem::Function { name, args, alias } => {
+                let env = Env {
+                    bindings: &bindings,
+                };
+                let args = args
+                    .iter()
+                    .map(|a| resolve_cols(a, &env, &mut resolver))
+                    .collect::<Result<_>>()?;
+                let (mut cols, f) = db.lookup_from_fn(name)?;
+                // Single-column functions adopt the alias as the column
+                // name, as PostgreSQL does for `generate_series(…) AS id`.
+                if let (1, Some(a)) = (cols.len(), alias) {
+                    cols = vec![a.to_ascii_lowercase()];
+                }
+                (name, cols, Some(FunctionScan { f, args }))
+            }
         };
-        let handle = db.get_table(name)?;
-        let cols: Vec<String> = handle
-            .read()
-            .schema
-            .columns
-            .iter()
-            .map(|c| c.name.clone())
-            .collect();
         bindings.push(Binding {
-            qualifier: alias.clone().unwrap_or_else(|| name.clone()),
-            columns: cols,
+            qualifier: item.binding_name().to_string(),
+            columns: columns.clone(),
             offset: bindings.last().map_or(0, |b| b.offset + b.columns.len()),
         });
-        tables.push(name.to_ascii_lowercase());
+        from.push(ScanItem {
+            name: name.to_ascii_lowercase(),
+            columns,
+            used: Vec::new(),
+            call,
+        });
     }
-    let schemas: Vec<Vec<String>> = bindings.iter().map(|b| b.columns.clone()).collect();
-    let mut ops = build_select(db, sel, &bindings)?;
-    let mut zero = build_zero_scan(&ops, tables.len());
-    let used_cols = prune_columns(&mut ops, &bindings);
+    let mut ops = build_select(sel, &bindings, resolver)?;
+    let mut zero = build_zero_scan(&ops, &from);
+    prune_columns(&mut ops, &mut from, &bindings);
     if let Some(z) = &mut zero {
-        z.access = choose_index_access(db, &tables[0], z.where_clause.as_ref());
+        z.access = choose_index_access(db, &from[0].name, z.where_clause.as_ref());
         z.vectorized = db.vectorized_enabled() && vectorizable(z, &ops);
     }
-    let hash_join = choose_hash_join(db, &tables, &used_cols, &ops);
+    let hash_join = choose_hash_join(db, &from, &ops);
     Ok(PhysicalPlan::StaticSelect(Box::new(StaticSelectPlan {
-        tables,
-        schemas,
-        used_cols,
+        from,
         ops,
         zero,
         hash_join,
@@ -669,18 +708,16 @@ fn choose_index_access(
 /// equality (`int = float`, `timestamp = text`) follows comparison
 /// coercions a hash key cannot mirror exactly, so it stays on the
 /// nested-loop path.
-fn choose_hash_join(
-    db: &Database,
-    tables: &[String],
-    used_cols: &[Vec<usize>],
-    ops: &SelectOps,
-) -> Option<HashJoin> {
-    if tables.len() != 2 || !db.hash_join_enabled() {
+fn choose_hash_join(db: &Database, from: &[ScanItem], ops: &SelectOps) -> Option<HashJoin> {
+    let [t0, t1] = from else {
+        return None;
+    };
+    if t0.call.is_some() || t1.call.is_some() || !db.hash_join_enabled() {
         return None;
     }
     let w = ops.where_clause.as_ref()?;
-    let w0 = used_cols[0].len();
-    let w1 = used_cols[1].len();
+    let w0 = t0.used.len();
+    let w1 = t1.used.len();
     for (a, b) in cost::equi_slot_pairs(w) {
         let (l, r) = if a < w0 && (w0..w0 + w1).contains(&b) {
             (a, b)
@@ -689,13 +726,13 @@ fn choose_hash_join(
         } else {
             continue;
         };
-        let dl = column_dtype(db, &tables[0], used_cols[0][l])?;
-        let dr = column_dtype(db, &tables[1], used_cols[1][r - w0])?;
+        let dl = column_dtype(db, &t0.name, t0.used[l])?;
+        let dr = column_dtype(db, &t1.name, t1.used[r - w0])?;
         if dl != dr || dl == DataType::Variant {
             continue;
         }
-        let nl = db.stats_for(&tables[0])?.row_count;
-        let nr = db.stats_for(&tables[1])?.row_count;
+        let nl = db.stats_for(&t0.name)?.row_count;
+        let nr = db.stats_for(&t1.name)?.row_count;
         if cost::hash_join_beats_nested(nl, nr) {
             return Some(HashJoin {
                 left_slot: l,
@@ -713,14 +750,14 @@ fn column_dtype(db: &Database, table: &str, column: usize) -> Option<DataType> {
     guard.schema.columns.get(column).map(|c| c.dtype)
 }
 
-/// Classify a static plan's scan: when it reads a single table and every
+/// Classify a plan's scan: when it reads a single table and every
 /// scan-side expression is re-entrancy-free, clone those expressions
 /// (still in the full column layout) into the zero-copy scan program the
 /// executor runs under the table read guard. Re-entrant expressions —
 /// UDFs that may call back into the database — keep the snapshot path,
 /// chosen here, per plan, never per row.
-fn build_zero_scan(ops: &SelectOps, n_tables: usize) -> Option<ZeroScan> {
-    if n_tables != 1 {
+fn build_zero_scan(ops: &SelectOps, from: &[ScanItem]) -> Option<ZeroScan> {
+    if !matches!(from, [t] if t.call.is_none()) {
         return None;
     }
     let safe = |e: &Expr| scan_safe(e, &ops.fns);
@@ -770,10 +807,11 @@ fn build_zero_scan(ops: &SelectOps, n_tables: usize) -> Option<ZeroScan> {
     }
 }
 
-/// Column pruning: compute the set of slots the pipeline actually reads,
-/// re-address every expression to the pruned row layout, and return each
-/// table's used column indices (what a snapshot scan must clone).
-fn prune_columns(ops: &mut SelectOps, bindings: &[Binding]) -> Vec<Vec<usize>> {
+/// Column pruning: compute the set of slots the pipeline and the
+/// function arguments actually read, re-address every expression to the
+/// pruned row layout, and record each FROM item's used column indices
+/// (what a snapshot scan must clone). A function keeps every column.
+fn prune_columns(ops: &mut SelectOps, from: &mut [ScanItem], bindings: &[Binding]) {
     let mut used: Vec<usize> = Vec::new();
     {
         let mut mark = |i: usize| used.push(i);
@@ -791,6 +829,14 @@ fn prune_columns(ops: &mut SelectOps, bindings: &[Binding]) -> Vec<Vec<usize>> {
             }
             if let Some(h) = &gp.having {
                 walk_slots(h, &mut mark);
+            }
+        }
+        for (item, b) in from.iter().zip(bindings) {
+            if let Some(call) = &item.call {
+                for a in &call.args {
+                    walk_slots(a, &mut mark);
+                }
+                (b.offset..b.offset + b.columns.len()).for_each(&mut mark);
             }
         }
     }
@@ -823,15 +869,18 @@ fn prune_columns(ops: &mut SelectOps, bindings: &[Binding]) -> Vec<Vec<usize>> {
             map_slots(h, &mut remap);
         }
     }
-    bindings
-        .iter()
-        .map(|b| {
-            used.iter()
-                .filter(|&&s| s >= b.offset && s < b.offset + b.columns.len())
-                .map(|&s| s - b.offset)
-                .collect()
-        })
-        .collect()
+    for (item, b) in from.iter_mut().zip(bindings) {
+        if let Some(call) = &mut item.call {
+            for a in &mut call.args {
+                map_slots(a, &mut remap);
+            }
+        }
+        item.used = used
+            .iter()
+            .filter(|&&s| s >= b.offset && s < b.offset + b.columns.len())
+            .map(|&s| s - b.offset)
+            .collect();
+    }
 }
 
 /// Shared state of one resolution pass: the database (for scalar-function
@@ -869,20 +918,15 @@ impl Resolver<'_> {
     }
 }
 
-/// Resolve and lower a SELECT's clauses against a known scan schema into
-/// the executable operator pipeline. Shared by plan-time compilation
-/// (static scans) and per-execution resolution (dynamic scans).
-pub(crate) fn build_select(
-    db: &Database,
+/// Resolve and lower a SELECT's clauses against the FROM items' bindings
+/// into the executable operator pipeline. `resolver` already holds the
+/// functions the FROM items' arguments call.
+fn build_select(
     sel: &SelectStmt,
     bindings: &[Binding],
+    mut resolver: Resolver<'_>,
 ) -> Result<SelectOps> {
     let env = Env { bindings };
-    let mut resolver = Resolver {
-        db,
-        names: Vec::new(),
-        fns: Vec::new(),
-    };
 
     // 1. Expand projection wildcards into (raw expr, output name) pairs.
     let mut raw_projs: Vec<(Expr, String)> = Vec::new();
@@ -1090,7 +1134,7 @@ pub(crate) fn build_select(
 
 /// The effective WHERE clause of a SELECT: the explicit WHERE predicate
 /// ANDed with every `JOIN … ON` condition (inner-join semantics).
-pub(crate) fn joined_where(sel: &SelectStmt) -> Option<Expr> {
+fn joined_where(sel: &SelectStmt) -> Option<Expr> {
     let mut acc = sel.where_clause.clone();
     for on in &sel.join_on {
         acc = Some(match acc {
@@ -1191,7 +1235,7 @@ fn ungrouped_column(table: Option<&str>, name: &str) -> SqlError {
 /// Are these two expressions the same grouping expression? Structural
 /// equality, except bare column references compare by resolved position,
 /// so `SELECT t.a … GROUP BY a` matches.
-pub(crate) fn same_group_expr(env: &Env<'_>, a: &Expr, b: &Expr) -> bool {
+fn same_group_expr(env: &Env<'_>, a: &Expr, b: &Expr) -> bool {
     if a == b {
         return true;
     }
@@ -1338,25 +1382,13 @@ fn lower_grouped(
 /// Render a compiled plan as indented text lines (one per output row of
 /// `EXPLAIN`). Runs at compile time: the rendered plan is exactly the
 /// plan the statement would execute with, under the current statistics.
-pub(crate) fn render_plan(stmt: &Stmt, plan: &PhysicalPlan) -> Result<Vec<String>> {
+fn render_plan(plan: &PhysicalPlan) -> Result<Vec<String>> {
     match plan {
         PhysicalPlan::StaticSelect(p) => Ok(render_static(p)),
-        PhysicalPlan::DynamicSelect => {
-            let Stmt::Select(sel) = stmt else {
-                unreachable!("dynamic plans compile from SELECT statements");
-            };
-            Ok(render_dynamic(sel))
-        }
         PhysicalPlan::Insert(ip) => {
-            let child = match (&ip.source, stmt) {
-                (
-                    Some(src),
-                    Stmt::Insert {
-                        source: InsertSource::Select(sel),
-                        ..
-                    },
-                ) => render_plan(&Stmt::Select((**sel).clone()), src)?,
-                _ => vec!["Values".to_string()],
+            let child = match &ip.source {
+                Some(src) => render_plan(src)?,
+                None => vec!["Values".to_string()],
             };
             let mut lines = vec![format!("Insert on {}", ip.table)];
             lines.extend(indent_child(child));
@@ -1387,21 +1419,29 @@ fn indent_child(lines: Vec<String>) -> Vec<String> {
 }
 
 /// Name a slot of the pruned concatenated row layout, qualified by table
-/// when more than one is scanned.
+/// or function name when the FROM has more than one item.
 fn pruned_slot_name(p: &StaticSelectPlan, s: usize) -> String {
     let mut off = 0;
-    for (ti, used) in p.used_cols.iter().enumerate() {
-        if s < off + used.len() {
-            let col = &p.schemas[ti][used[s - off]];
-            return if p.used_cols.len() == 1 {
+    for item in &p.from {
+        if s < off + item.used.len() {
+            let col = &item.columns[item.used[s - off]];
+            return if p.from.len() == 1 {
                 col.clone()
             } else {
-                format!("{}.{col}", p.tables[ti])
+                format!("{}.{col}", item.name)
             };
         }
-        off += used.len();
+        off += item.used.len();
     }
     format!("?column{s}?")
+}
+
+/// The node line of a FROM item read without an access path.
+fn scan_node(item: &ScanItem) -> String {
+    match item.call {
+        Some(_) => format!("FunctionScan on {}", item.name),
+        None => format!("SeqScan on {}", item.name),
+    }
 }
 
 /// The scan node of a single-table plan: `IndexScan using … on t` with
@@ -1451,14 +1491,18 @@ fn column_name(cols: &[String], s: usize) -> String {
 
 fn render_static(p: &StaticSelectPlan) -> Vec<String> {
     let pruned = |s: usize| pruned_slot_name(p, s);
-    let scan = if p.tables.len() == 1 {
-        let t = &p.tables[0];
+    let filter = p
+        .ops
+        .where_clause
+        .as_ref()
+        .map(|w| format!("  Filter: {}", render_expr(w, &pruned, &p.ops.fn_names)));
+    let scan = if let [t] = p.from.as_slice() {
         match &p.zero {
             Some(z) => {
                 // Zero-copy scan: expressions are in the full layout.
-                let full = |s: usize| column_name(&p.schemas[0], s);
+                let full = |s: usize| column_name(&t.columns, s);
                 let mut lines = render_scan(
-                    t,
+                    &t.name,
                     z.access.as_ref(),
                     z.where_clause.as_ref(),
                     &full,
@@ -1477,19 +1521,13 @@ fn render_static(p: &StaticSelectPlan) -> Vec<String> {
                 }
                 lines
             }
-            None => render_scan(
-                t,
-                None,
-                p.ops.where_clause.as_ref(),
-                &pruned,
-                &p.ops.fn_names,
-            ),
+            None => [scan_node(t)].into_iter().chain(filter).collect(),
         }
     } else {
         let children: Vec<String> = p
-            .tables
+            .from
             .iter()
-            .flat_map(|t| indent_child(vec![format!("SeqScan on {t}")]))
+            .flat_map(|t| indent_child(vec![scan_node(t)]))
             .collect();
         let mut lines = match &p.hash_join {
             Some(hj) => vec![
@@ -1502,52 +1540,11 @@ fn render_static(p: &StaticSelectPlan) -> Vec<String> {
             ],
             None => vec!["NestedLoop".to_string()],
         };
-        if let Some(w) = &p.ops.where_clause {
-            lines.push(format!(
-                "  Filter: {}",
-                render_expr(w, &pruned, &p.ops.fn_names)
-            ));
-        }
+        lines.extend(filter);
         lines.extend(children);
         lines
     };
     wrap_aggregate(p.ops.group.is_some(), scan)
-}
-
-/// Render a dynamic SELECT (set-returning functions in FROM): the scan
-/// schema is unknown until execution, so only the shape is shown.
-fn render_dynamic(sel: &SelectStmt) -> Vec<String> {
-    let name = |s: usize| format!("?column{s}?");
-    let scans: Vec<Vec<String>> = sel
-        .from
-        .iter()
-        .map(|it| {
-            vec![match it {
-                FromItem::Table { name, .. } => format!("SeqScan on {name}"),
-                FromItem::Function { name, .. } => format!("FunctionScan on {name}"),
-            }]
-        })
-        .collect();
-    let filter = joined_where(sel).map(|w| format!("  Filter: {}", render_expr(&w, &name, &[])));
-    let lines = if scans.len() == 1 {
-        let mut l = scans.into_iter().next().unwrap();
-        l.extend(filter);
-        l
-    } else {
-        let mut l = vec!["NestedLoop".to_string()];
-        l.extend(filter);
-        for s in scans {
-            l.extend(indent_child(s));
-        }
-        l
-    };
-    let grouped = !sel.group_by.is_empty()
-        || sel.having.is_some()
-        || sel
-            .items
-            .iter()
-            .any(|i| matches!(i, SelectItem::Expr { expr, .. } if contains_aggregate(expr)));
-    wrap_aggregate(grouped, lines)
 }
 
 fn wrap_aggregate(grouped: bool, scan: Vec<String>) -> Vec<String> {

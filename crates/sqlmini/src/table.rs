@@ -711,15 +711,6 @@ impl Table {
             .collect()
     }
 
-    /// Clone every row visible to `snap` — the whole-table snapshot a
-    /// self-referencing `INSERT … SELECT` materializes.
-    pub(crate) fn snapshot_rows(&self, snap: Snapshot) -> Vec<Row> {
-        self.view()
-            .scan(None, snap)
-            .map(|(_, v)| v.data.clone())
-            .collect()
-    }
-
     // ---- secondary indexes -------------------------------------------------
 
     /// The table's secondary-index descriptors.
@@ -848,7 +839,10 @@ impl Table {
     /// direct (non-SQL) inspection.
     #[cfg(test)]
     pub(crate) fn latest_rows(&self) -> Vec<Row> {
-        self.snapshot_rows(Snapshot::latest())
+        self.view()
+            .scan(None, Snapshot::latest())
+            .map(|(_, v)| v.data.clone())
+            .collect()
     }
 }
 

@@ -33,8 +33,8 @@ use std::sync::Arc;
 
 use crate::db::Database;
 use crate::error::{Result, SqlError};
-use crate::table::QueryResult;
-use crate::value::{DataType, Value};
+use crate::table::Row;
+use crate::value::{float_to_bigint, DataType, Value};
 
 /// Declared kind of a UDF argument.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,22 +66,26 @@ impl ArgKind {
         }
     }
 
-    /// Coerce a non-NULL value to this kind; `None` on a type mismatch.
-    fn coerce(self, v: &Value) -> Option<Value> {
-        match (self, v) {
+    /// Coerce a non-NULL value to this kind: `None` on a type mismatch,
+    /// PostgreSQL's `bigint out of range` for an integral float outside
+    /// the bigint range.
+    fn coerce(self, v: &Value) -> Result<Option<Value>> {
+        Ok(match (self, v) {
             (ArgKind::Any, v) => Some(v.clone()),
             (ArgKind::Text, Value::Text(_)) => Some(v.clone()),
             (ArgKind::Float, Value::Float(_)) => Some(v.clone()),
             (ArgKind::Float, Value::Int(i)) => Some(Value::Float(*i as f64)),
             (ArgKind::Int, Value::Int(_)) => Some(v.clone()),
-            (ArgKind::Int, Value::Float(f)) if f.fract() == 0.0 => Some(Value::Int(*f as i64)),
+            (ArgKind::Int, Value::Float(f)) if f.fract() == 0.0 => {
+                Some(Value::Int(float_to_bigint(*f)?))
+            }
             (ArgKind::Bool, _) => v.cast_to(DataType::Bool).ok(),
             (ArgKind::Timestamp, Value::Timestamp(_)) => Some(v.clone()),
             (ArgKind::Timestamp, Value::Text(s)) => {
                 crate::value::parse_timestamp(s).ok().map(Value::Timestamp)
             }
             _ => None,
-        }
+        })
     }
 }
 
@@ -178,7 +182,7 @@ impl UdfDef {
                 values.push(Value::Null);
                 continue;
             }
-            match kind.coerce(v) {
+            match kind.coerce(v)? {
                 Some(coerced) => values.push(coerced),
                 None => {
                     return Err(SqlError::Type(format!(
@@ -376,23 +380,26 @@ impl<'db> UdfBuilder<'db> {
         });
     }
 
-    /// Register the function as a set-returning UDF. With
-    /// [`UdfBuilder::strict`], a NULL argument yields an empty result
-    /// (PostgreSQL STRICT semantics for SRFs: zero rows) without running
-    /// the body.
-    pub fn table<F>(self, f: F)
+    /// Register the function as a set-returning UDF with the output
+    /// `columns` it declares, as PostgreSQL's `RETURNS TABLE` does. The
+    /// body returns only its rows, one value per declared column; the
+    /// planner resolves names against the declaration, so a statement
+    /// plans once however many rows a call returns. With
+    /// [`UdfBuilder::strict`], a NULL argument yields zero rows
+    /// (PostgreSQL STRICT semantics for SRFs) without running the body.
+    pub fn table<F>(self, columns: &[&str], f: F)
     where
-        F: Fn(&Database, &Args) -> Result<QueryResult> + Send + Sync + 'static,
+        F: Fn(&Database, &Args) -> Result<Vec<Row>> + Send + Sync + 'static,
     {
         let def = Arc::new(self.def);
         let name = def.name.clone();
         let strict = self.strict;
         let counter = self.db.udf_counter(&name);
-        self.db.register_table_fn(&name, move |db, raw| {
+        self.db.register_table_fn(&name, columns, move |db, raw| {
             counter.fetch_add(1, Ordering::Relaxed);
             if strict && raw.iter().any(Value::is_null) {
                 def.check_arity(raw)?; // arity errors still surface
-                return Ok(QueryResult::new(Vec::new()));
+                return Ok(Vec::new());
             }
             let args = def.check(raw)?;
             f(db, &args)
@@ -480,12 +487,8 @@ mod tests {
         d.udf("expand")
             .arg("n", ArgKind::Int)
             .strict()
-            .table(|_db, args| {
-                let mut q = QueryResult::new(vec!["i".into()]);
-                for i in 0..args.i64(0) {
-                    q.rows.push(vec![Value::Int(i)]);
-                }
-                Ok(q)
+            .table(&["i"], |_db, args| {
+                Ok((0..args.i64(0)).map(|i| vec![Value::Int(i)]).collect())
             });
         assert_eq!(d.execute("SELECT * FROM expand(3)").unwrap().len(), 3);
         assert_eq!(d.execute("SELECT * FROM expand(NULL)").unwrap().len(), 0);

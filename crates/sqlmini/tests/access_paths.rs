@@ -38,6 +38,30 @@ fn indexed_db(rows: i64) -> Database {
 // --- scan choice and EXPLAIN -----------------------------------------------
 
 #[test]
+fn explain_shows_function_scans() {
+    let db = Database::new();
+    db.execute("CREATE TABLE t (x int)").unwrap();
+    // Filter lines may qualify column names by their FROM item; only the
+    // names are pinned.
+    let unqualified = |line: &str| line.replace("generate_series.", "").replace("t.", "");
+    let plan = plan_of(&db, "SELECT * FROM generate_series(1, 10) AS g WHERE g > 3");
+    let lines: Vec<&str> = plan.lines().collect();
+    assert_eq!(lines.len(), 2, "{plan}");
+    assert_eq!(lines[0], "FunctionScan on generate_series");
+    assert_eq!(unqualified(lines[1]), "  Filter: (g > 3)", "{plan}");
+    let plan = plan_of(
+        &db,
+        "SELECT x, g FROM t, generate_series(1, t.x) AS g WHERE g > x",
+    );
+    let lines: Vec<&str> = plan.lines().collect();
+    assert_eq!(lines.len(), 4, "{plan}");
+    assert_eq!(lines[0], "NestedLoop");
+    assert_eq!(unqualified(lines[1]), "  Filter: (g > x)", "{plan}");
+    assert_eq!(lines[2], "  ->  SeqScan on t");
+    assert_eq!(lines[3], "  ->  FunctionScan on generate_series");
+}
+
+#[test]
 fn point_lookup_takes_the_index_and_matches_seq_scan() {
     let db = indexed_db(2000);
     let plan = plan_of(&db, "SELECT v FROM t WHERE k = 1234");
@@ -409,7 +433,7 @@ fn unique_check_applies_to_insert_select() {
 
 #[test]
 fn unique_check_applies_to_insert_select_from_a_table_function() {
-    // A dynamic source (a table function in FROM) yields a duplicate
+    // A function-scan source (a table function in FROM) yields a duplicate
     // within the statement's own rows: integer division maps 2 and 3
     // onto the same key.
     let db = Database::new();

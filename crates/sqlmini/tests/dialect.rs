@@ -4,7 +4,7 @@
 //! `LATERAL`-style set-returning functions in `FROM`, and integer,
 //! timestamp and interval overflow.
 
-use pgfmu_sqlmini::{Database, QueryResult, Stat, Value};
+use pgfmu_sqlmini::{ArgKind, Database, Stat, Value};
 
 fn db_with_measurements() -> Database {
     let db = Database::new();
@@ -491,12 +491,10 @@ fn registered_srf_can_reenter_the_database() {
     // fmu_parest-style re-entrancy: the SRF body runs its own query
     // against the same database while the outer query is executing.
     let db = db_with_measurements();
-    db.register_table_fn("values_above", |db, args| {
+    db.register_table_fn("values_above", &["v"], |db, args| {
         let threshold = args[0].as_f64()?;
         let inner = db.execute(&format!("SELECT v FROM m WHERE v > {threshold}"))?;
-        let mut out = QueryResult::new(vec!["v".into()]);
-        out.rows = inner.rows;
-        Ok(out)
+        Ok(inner.rows)
     });
     let q = db
         .execute("SELECT v FROM values_above(15.0) AS v ORDER BY v")
@@ -508,17 +506,151 @@ fn registered_srf_can_reenter_the_database() {
 #[test]
 fn multi_column_srf_keeps_its_own_column_names() {
     let db = Database::new();
-    db.register_table_fn("pair_rows", |_db, _args| {
-        let mut out = QueryResult::new(vec!["a".into(), "b".into()]);
-        out.rows.push(vec![Value::Int(1), Value::Int(2)]);
-        out.rows.push(vec![Value::Int(3), Value::Int(4)]);
-        Ok(out)
+    db.register_table_fn("pair_rows", &["a", "b"], |_db, _args| {
+        Ok(vec![
+            vec![Value::Int(1), Value::Int(2)],
+            vec![Value::Int(3), Value::Int(4)],
+        ])
     });
     let q = db
         .execute("SELECT a, b FROM pair_rows() AS p ORDER BY a")
         .unwrap();
     assert_eq!(q.rows.len(), 2);
     assert_eq!(q.rows[1], vec![Value::Int(3), Value::Int(4)]);
+}
+
+#[test]
+fn lateral_function_over_an_empty_table_keeps_its_columns() {
+    let db = Database::new();
+    db.execute("CREATE TABLE t (x int)").unwrap();
+    let q = db
+        .execute("SELECT g FROM t, generate_series(1, t.x) AS g")
+        .unwrap();
+    assert_eq!(q.columns, vec!["g"]);
+    assert!(q.rows.is_empty());
+    let q = db
+        .execute("SELECT * FROM t, generate_series(1, t.x) AS g")
+        .unwrap();
+    assert_eq!(q.columns, vec!["x", "g"]);
+    assert!(q.rows.is_empty());
+    // An argument naming an item to the function's right is not in scope.
+    let err = db
+        .execute("SELECT * FROM generate_series(1, t.x) AS g, t")
+        .unwrap_err();
+    assert_eq!(err.to_string(), "column \"t.x\" does not exist");
+}
+
+#[test]
+fn strict_function_given_null_returns_zero_rows_of_its_columns() {
+    let db = Database::new();
+    db.udf("expand")
+        .arg("n", ArgKind::Int)
+        .strict()
+        .table(&["i", "square"], |_db, args| {
+            Ok((0..args.i64(0))
+                .map(|i| vec![Value::Int(i), Value::Int(i * i)])
+                .collect())
+        });
+    let q = db.execute("SELECT * FROM expand(NULL)").unwrap();
+    assert_eq!(q.columns, vec!["i", "square"]);
+    assert!(q.rows.is_empty());
+    let q = db.execute("SELECT i FROM expand(NULL)").unwrap();
+    assert_eq!(q.columns, vec!["i"]);
+    assert!(q.rows.is_empty());
+    let q = db.execute("SELECT square FROM expand(3)").unwrap();
+    assert_eq!(
+        q.rows,
+        vec![
+            vec![Value::Int(0)],
+            vec![Value::Int(1)],
+            vec![Value::Int(4)]
+        ]
+    );
+}
+
+#[test]
+fn a_row_unlike_the_declared_columns_is_an_error() {
+    let db = Database::new();
+    db.register_table_fn("short_rows", &["a", "b"], |_db, _args| {
+        Ok(vec![vec![Value::Int(1)]])
+    });
+    db.register_table_fn("long_rows", &["a"], |_db, _args| {
+        Ok(vec![vec![Value::Int(1), Value::Int(2)]])
+    });
+    for sql in ["SELECT b FROM short_rows()", "SELECT * FROM long_rows()"] {
+        let err = db.execute(sql).unwrap_err().to_string();
+        let name = sql.split(' ').nth(3).unwrap().trim_end_matches("()");
+        assert!(err.contains(&format!("function {name} returned")), "{err}");
+    }
+}
+
+#[test]
+fn a_prepared_function_scan_plans_once() {
+    let db = Database::new();
+    let series = |db: &Database, step: i64| {
+        db.register_table_fn("series", &["n"], move |_db, args| {
+            let n = args[0].as_i64()?;
+            Ok((1..=n).map(|i| vec![Value::Int(i * step)]).collect())
+        });
+    };
+    series(&db, 1);
+    let stmt = db.prepare("SELECT sum(n) FROM series($1)").unwrap();
+    let built = db.stat(Stat::PlansBuilt);
+    for n in 1..=4 {
+        let q = stmt.query(&[Value::Int(n)]).unwrap();
+        assert_eq!(q.rows[0][0], Value::Float((n * (n + 1) / 2) as f64));
+    }
+    assert_eq!(db.stat(Stat::PlansBuilt), built + 1);
+    // Re-registering the function recompiles the cached plan once.
+    series(&db, 10);
+    for _ in 0..2 {
+        let q = stmt.query(&[Value::Int(3)]).unwrap();
+        assert_eq!(q.rows[0][0], Value::Float(60.0));
+    }
+    assert_eq!(db.stat(Stat::PlansBuilt), built + 2);
+}
+
+#[test]
+fn a_statement_reads_all_its_tables_before_any_function_runs() {
+    let db = Database::new();
+    db.execute("CREATE TABLE u (i int)").unwrap();
+    db.execute("INSERT INTO u VALUES (1), (2)").unwrap();
+    db.register_table_fn("bump", &["bumped"], |db, _args| {
+        db.execute("INSERT INTO u VALUES (3), (4), (5)")?;
+        Ok(vec![vec![Value::Bool(true)]])
+    });
+    // `u` is listed after the function, yet reads as of the statement's
+    // start, as in PostgreSQL: the function's rows are not counted.
+    let q = db.execute("SELECT count(*) FROM bump(), u").unwrap();
+    assert_eq!(q.rows[0][0], Value::Int(2));
+    let q = db.execute("SELECT count(*) FROM u").unwrap();
+    assert_eq!(q.rows[0][0], Value::Int(5));
+}
+
+#[test]
+fn builtin_functions_report_their_declared_columns() {
+    let db = Database::new();
+    db.execute("CREATE TABLE nothing (x int)").unwrap();
+    for (name, args, columns) in [
+        ("generate_series", "1, 2", vec!["generate_series"]),
+        ("pgfmu_stats", "", vec!["stat", "value"]),
+        ("pgfmu_analyze", "", vec!["table", "rows"]),
+    ] {
+        let q = db
+            .execute(&format!("SELECT * FROM {name}({args})"))
+            .unwrap();
+        assert_eq!(q.columns, columns, "{name}");
+        assert!(!q.rows.is_empty(), "{name}");
+        // Laterally over an empty table the function never runs.
+        let q = db
+            .execute(&format!("SELECT {name}.* FROM nothing, {name}({args})"))
+            .unwrap();
+        assert_eq!(q.columns, columns, "{name} without rows");
+        assert!(q.rows.is_empty(), "{name}");
+    }
+    let q = db.execute("SELECT * FROM generate_series(2, 1)").unwrap();
+    assert_eq!(q.columns, vec!["generate_series"]);
+    assert!(q.rows.is_empty());
 }
 
 // --- integer, timestamp and interval overflow ------------------------------
@@ -778,4 +910,37 @@ fn generate_series_stops_at_the_end_of_the_range() {
     );
     // The two-argument form includes the last integer exactly once.
     assert_eq!(count("9223372036854775805, 9223372036854775807"), 3);
+}
+
+#[test]
+fn round_digits_and_integer_arguments_raise_out_of_range_errors() {
+    let db = Database::new();
+    for (sql, msg) in [
+        (
+            "SELECT round(1234.5678, 4294967298)",
+            "integer out of range",
+        ),
+        (
+            "SELECT round(1234.5678, -4294967298)",
+            "integer out of range",
+        ),
+        ("SELECT round(1234.5678, 1e300)", "bigint out of range"),
+    ] {
+        match db.execute(sql) {
+            Err(e) => assert_eq!(e.to_string(), format!("execution error: {msg}"), "{sql}"),
+            Ok(q) => panic!("{sql} returned {:?}", q.rows),
+        }
+    }
+    // In range, digits still round, and an integral float still coerces.
+    let q = db
+        .execute("SELECT round(1234.5678, 2), round(1234.5678, 2.0), round(1234.5678, -2)")
+        .unwrap();
+    assert_eq!(
+        q.rows[0],
+        vec![
+            Value::Float(1234.57),
+            Value::Float(1234.57),
+            Value::Float(1200.0)
+        ]
+    );
 }
