@@ -1,4 +1,7 @@
-//! Tiny fixed-width table renderer for the repro binary's output.
+//! Output helpers of the repro binary and the scaling tests: a
+//! fixed-width table renderer, time formatting and robust medians.
+
+use std::time::{Duration, Instant};
 
 /// Render rows of cells as an aligned ASCII table with a header rule.
 pub fn render(headers: &[&str], rows: &[Vec<String>]) -> String {
@@ -47,6 +50,22 @@ pub fn fmt_secs(s: f64) -> String {
     } else {
         format!("{:.1}min", s / 60.0)
     }
+}
+
+/// Wall time of one call of `f`.
+pub fn timed(f: impl FnOnce()) -> Duration {
+    let t0 = Instant::now();
+    f();
+    t0.elapsed()
+}
+
+/// Median of `runs` timed calls of `run`, after one untimed warm-up
+/// call, in nanoseconds. `run` returns the time it counts, usually
+/// through [`timed`], so it can clean up untimed after the timed part.
+pub fn median_ns(runs: usize, mut run: impl FnMut() -> Duration) -> f64 {
+    run(); // warm-up: fill caches, fault pages
+    let samples: Vec<f64> = (0..runs).map(|_| run().as_nanos() as f64).collect();
+    criterion::stats::summarize(&samples).median
 }
 
 #[cfg(test)]

@@ -667,6 +667,38 @@ fn explain_reports_the_vectorized_choice_and_top_k() {
 }
 
 #[test]
+fn indexed_top_k_runs_on_the_batch_path() {
+    let db = indexed_db(2000);
+    // Pin the toggle: CI sweeps PGFMU_VECTORIZED over the whole suite.
+    db.set_vectorized_enabled(true);
+    let sql = "SELECT k, v FROM t WHERE k >= 400 AND k < 656 ORDER BY k DESC LIMIT 24";
+    let plan = plan_of(&db, sql);
+    let top_k = plan.find("Top-K (k=24)").expect(&plan);
+    let scan = plan.find("IndexScan using t_k on t").expect(&plan);
+    assert!(top_k < scan, "{plan}");
+    assert!(plan.contains("Vectorized: true"), "{plan}");
+
+    let counters = [
+        Stat::IndexScans,
+        Stat::BatchesFilled,
+        Stat::VectorizedOps,
+        Stat::VectorizedFallbacks,
+    ];
+    let before = counters.map(|s| db.stat(s));
+    let rows: Vec<(i64, String)> = db.query_as(sql, &[]).unwrap();
+    let after = counters.map(|s| db.stat(s));
+    let deltas: Vec<u64> = after.iter().zip(&before).map(|(a, b)| a - b).collect();
+    assert_eq!(deltas, [1, 1, 1, 0], "{counters:?}");
+    let expected: Vec<(i64, String)> = (632..656).rev().map(|k| (k, format!("r{k}"))).collect();
+    assert_eq!(rows, expected);
+
+    db.set_vectorized_enabled(false);
+    db.set_index_access_enabled(false);
+    let scalar_seq: Vec<(i64, String)> = db.query_as(sql, &[]).unwrap();
+    assert_eq!(rows, scalar_seq);
+}
+
+#[test]
 fn stored_simulation_rollup_runs_on_the_batch_path() {
     // A silent fallback would still match the scalar results, so pin the
     // path: the per-instance, per-day rollup over `fmu_simulate` output.
