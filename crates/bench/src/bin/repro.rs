@@ -12,6 +12,8 @@
 //! An unknown experiment name or flag, or a flag missing its value,
 //! prints the usage and exits with status 2.
 
+use std::io::Write;
+
 use pgfmu_bench::report::{fmt_secs, median_ns, render, timed};
 use pgfmu_bench::setup::{bench_session, ModelKind, ALL_MODELS};
 use pgfmu_bench::{fig6, fig7, fig8, grouped, madlib, table1, table2, table7, table8, Profile};
@@ -30,6 +32,26 @@ fn usage_error(problem: &str) -> ! {
         EXPERIMENTS.join(" ")
     );
     std::process::exit(2);
+}
+
+/// Write one line of the report to standard output. When the reader has
+/// gone (`repro … | head`), end the run quietly with status 0; any other
+/// write error ends it with status 1 and one line on stderr.
+fn emit(line: std::fmt::Arguments<'_>) {
+    if let Err(e) = writeln!(std::io::stdout(), "{line}") {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("repro: cannot write to standard output: {e}");
+        std::process::exit(1);
+    }
+}
+
+/// `println!` through [`emit`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        emit(format_args!($($arg)*))
+    };
 }
 
 fn main() {
@@ -55,7 +77,7 @@ fn main() {
     let run_all = wanted.is_empty();
     let want = |name: &str| run_all || wanted.contains(&name);
 
-    println!(
+    out!(
         "pgFMU-rs experiment reproduction — profile: {} instances, {} HP samples, {} classroom samples\n",
         profile.mi_instances, profile.hp_samples, profile.classroom_samples
     );
@@ -98,7 +120,7 @@ fn main() {
 /// Per-day energy rollup over simulated HP1 output, grouped in SQL vs the
 /// client-side fold it replaces.
 fn run_grouped(profile: &Profile) {
-    println!("== Grouped rollup: per-day HP1 output energy (GROUP BY / HAVING) ==");
+    out!("== Grouped rollup: per-day HP1 output energy (GROUP BY / HAVING) ==");
     let session = grouped::simulated_session(profile);
     let days = grouped::per_day_energy(&session, 0.0);
     let rows: Vec<Vec<String>> = days
@@ -111,7 +133,7 @@ fn run_grouped(profile: &Profile) {
             ]
         })
         .collect();
-    println!("{}", render(&["day", "energy kWh", "samples"], &rows));
+    out!("{}", render(&["day", "energy kWh", "samples"], &rows));
     let sql_ns = median_ns(20, || {
         timed(|| {
             grouped::per_day_energy(&session, 0.0);
@@ -122,7 +144,7 @@ fn run_grouped(profile: &Profile) {
             grouped::per_day_energy_client_side(&session, 0.0);
         })
     });
-    println!(
+    out!(
         "one grouped statement: {} | client-side fold: {} ({:.1}x)\n",
         fmt_secs(sql_ns / 1e9),
         fmt_secs(client_ns / 1e9),
@@ -131,7 +153,7 @@ fn run_grouped(profile: &Profile) {
 }
 
 fn run_table1() {
-    println!("== Table 1: workflow operations, lines of code ==");
+    out!("== Table 1: workflow operations, lines of code ==");
     let c = table1::run();
     let mut rows: Vec<Vec<String>> = c
         .rows
@@ -153,15 +175,15 @@ fn run_table1() {
         c.python_total().to_string(),
         c.pgfmu_total().to_string(),
     ]);
-    println!("{}", render(&["Operation", "Traditional", "pgFMU"], &rows));
-    println!(
+    out!("{}", render(&["Operation", "Traditional", "pgFMU"], &rows));
+    out!(
         "reduction: {:.1}x fewer lines (paper: ~22x)\n",
         c.reduction()
     );
 }
 
 fn run_table2() {
-    println!("== Table 2: in-DBMS analytics tool comparison (probed live) ==");
+    out!("== Table 2: in-DBMS analytics tool comparison (probed live) ==");
     let rows: Vec<Vec<String>> = table2::run()
         .into_iter()
         .map(|r| {
@@ -173,15 +195,15 @@ fn run_table2() {
             ]
         })
         .collect();
-    println!(
+    out!(
         "{}",
         render(&["Feature", "MADlib", "MS SQL ML", "pgFMU-rs"], &rows)
     );
-    println!("(the paper marks pgFMU's in-DBMS ML as absent; this reproduction bundles it)\n");
+    out!("(the paper marks pgFMU's in-DBMS ML as absent; this reproduction bundles it)\n");
 }
 
 fn run_table3() {
-    println!("== Table 3: fmu_variables output (parameters of HP1Instance1) ==");
+    out!("== Table 3: fmu_variables output (parameters of HP1Instance1) ==");
     let bench = bench_session(ModelKind::Hp1, &Profile::test());
     let q = bench
         .session
@@ -190,11 +212,11 @@ fn run_table3() {
              WHERE f.varType = 'parameter' ORDER BY f.varName",
         )
         .unwrap();
-    println!("{}", q.to_ascii());
+    out!("{}", q.to_ascii());
 }
 
 fn run_table4() {
-    println!("== Table 4: fmu_simulate output (first rows) ==");
+    out!("== Table 4: fmu_simulate output (first rows) ==");
     let bench = bench_session(ModelKind::Hp1, &Profile::test());
     let q = bench
         .session
@@ -204,11 +226,11 @@ fn run_table4() {
              WHERE varName IN ('y', 'x') ORDER BY simulationTime LIMIT 6",
         )
         .unwrap();
-    println!("{}", q.to_ascii());
+    out!("{}", q.to_ascii());
 }
 
 fn run_table7(profile: &Profile) {
-    println!("== Table 7: SI scenario, model calibration comparison ==");
+    out!("== Table 7: SI scenario, model calibration comparison ==");
     let rows = table7::run(profile);
     let rendered: Vec<Vec<String>> = rows
         .iter()
@@ -227,19 +249,19 @@ fn run_table7(profile: &Profile) {
             ]
         })
         .collect();
-    println!(
+    out!(
         "{}",
         render(&["Model", "Config", "Param. values", "RMSE"], &rendered)
     );
-    println!(
+    out!(
         "configs agree on parameters: {} (paper: rel. diff <= 0.02%)",
         table7::configs_agree(&rows, 0.01)
     );
-    println!("paper RMSE reference: HP0 0.7701, HP1 0.5445, Classroom 1.6445\n");
+    out!("paper RMSE reference: HP0 0.7701, HP1 0.5445, Classroom 1.6445\n");
 }
 
 fn run_table8(profile: &Profile) {
-    println!("== Table 8: SI scenario, per-operation execution time ==");
+    out!("== Table 8: SI scenario, per-operation execution time ==");
     let rows = table8::run(profile);
     let rendered: Vec<Vec<String>> = rows
         .iter()
@@ -264,7 +286,7 @@ fn run_table8(profile: &Profile) {
             ]
         })
         .collect();
-    println!(
+    out!(
         "{}",
         render(
             &[
@@ -282,11 +304,11 @@ fn run_table8(profile: &Profile) {
             &rendered
         )
     );
-    println!("(paper: calibration > 99% of the workflow; Python ≈ pgFMU± in SI)\n");
+    out!("(paper: calibration > 99% of the workflow; Python ≈ pgFMU± in SI)\n");
 }
 
 fn run_fig6(profile: &Profile) {
-    println!("== Figure 6: RMSE & time of LO vs G+LaG across dataset dissimilarity ==");
+    out!("== Figure 6: RMSE & time of LO vs G+LaG across dataset dissimilarity ==");
     let points = fig6::run(profile);
     let rendered: Vec<Vec<String>> = points
         .iter()
@@ -304,7 +326,7 @@ fn run_fig6(profile: &Profile) {
             ]
         })
         .collect();
-    println!(
+    out!(
         "{}",
         render(
             &[
@@ -319,16 +341,16 @@ fn run_fig6(profile: &Profile) {
         )
     );
     match fig6::crossover(&points, 0.10) {
-        Some(d) => println!(
+        Some(d) => out!(
             "LO degrades (>10% RMSE gap) from ~{:.0}% dissimilarity (paper: ~30%)\n",
             d * 100.0
         ),
-        None => println!("LO matched G+LaG across the whole sweep\n"),
+        None => out!("LO matched G+LaG across the whole sweep\n"),
     }
 }
 
 fn run_fig7(profile: &Profile) {
-    println!(
+    out!(
         "== Figure 7: MI workflow execution time, {} instances ==",
         profile.mi_instances
     );
@@ -352,18 +374,18 @@ fn run_fig7(profile: &Profile) {
                 ]
             })
             .collect();
-        println!("-- {} --", r.model);
-        println!(
+        out!("-- {} --", r.model);
+        out!(
             "{}",
             render(&["#instances", "Python", "pgFMU-", "pgFMU+"], &rendered)
         );
-        println!("pgFMU+ speedup at n={}: {:.2}x\n", n, r.speedup());
+        out!("pgFMU+ speedup at n={}: {:.2}x\n", n, r.speedup());
     }
-    println!("(paper at 100 instances: HP0 5.31x, HP1 5.51x, Classroom 8.43x)\n");
+    out!("(paper at 100 instances: HP0 5.31x, HP1 5.51x, Classroom 8.43x)\n");
 }
 
 fn run_fig8(profile: &Profile) {
-    println!("== Figure 8: usability study (SIMULATED user model — see DESIGN.md) ==");
+    out!("== Figure 8: usability study (SIMULATED user model — see DESIGN.md) ==");
     let u = fig8::run(profile.seed, 30);
     let rendered: Vec<Vec<String>> = u
         .participants
@@ -380,22 +402,24 @@ fn run_fig8(profile: &Profile) {
             ]
         })
         .collect();
-    println!(
+    out!(
         "{}",
         render(&["Participant", "pgFMU (min)", "Python (min)"], &rendered)
     );
     let dnf = u.participants.iter().filter(|p| !p.python_finished).count();
-    println!(
+    out!(
         "mean: pgFMU {:.1} min, Python {:.1} min; speedup {:.2}x (paper: 11.74x); \
          {dnf} participant(s) did not finish (paper: 1)\n",
-        u.pgfmu_mean, u.python_mean, u.speedup
+        u.pgfmu_mean,
+        u.python_mean,
+        u.speedup
     );
 }
 
 fn run_madlib(profile: &Profile) {
-    println!("== Combined experiments: pgFMU + MADlib-like analytics ==");
+    out!("== Combined experiments: pgFMU + MADlib-like analytics ==");
     let a = madlib::run_arima(profile.seed, profile.classroom_samples.max(480));
-    println!(
+    out!(
         "ARIMA occupancy -> fmu_simulate: RMSE {:.3} (no occupancy) vs {:.3} (ARIMA) \
          = {:.1}% improvement (paper: up to 21.1%)",
         a.rmse_without_occ,
@@ -403,7 +427,7 @@ fn run_madlib(profile: &Profile) {
         a.improvement_pct()
     );
     let l = madlib::run_logistic(profile.seed, profile.classroom_samples.max(480));
-    println!(
+    out!(
         "logistic damper classifier: {:.1}% -> {:.1}% accuracy with the pgFMU \
          temperature feature = +{:.1} points (paper: +5.9%)\n",
         l.accuracy_base * 100.0,

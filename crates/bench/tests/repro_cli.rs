@@ -1,9 +1,9 @@
 //! The `repro` command line: the usage error for names and flags it
-//! does not take, and a smoke run of the fast table experiments. Never
-//! run `repro` without arguments here: that runs every experiment and
-//! takes minutes.
+//! does not take, a smoke run of the fast table experiments, and a quiet
+//! end when its output closes. Never run `repro` without arguments here:
+//! that runs every experiment and takes minutes.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn repro(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_repro"))
@@ -41,4 +41,21 @@ fn table_experiments_run() {
         assert!(stdout.contains(&format!("== Table {n}:")), "{stdout}");
     }
     assert!(stdout.contains("fewer lines (paper: ~22x)"), "{stdout}");
+}
+
+#[test]
+fn closed_stdout_ends_quietly() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["table1", "table2", "table3", "table4"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("run repro");
+    // Close the read end before reading anything, as `repro | head -0`
+    // would: writes after this fail with a broken pipe.
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("wait for repro");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }

@@ -50,7 +50,7 @@ registry! {
     AggEvals => "agg_evals", "Aggregate folds performed by the grouping operator: each *distinct* aggregate call counts once per group, however often it appears across select list, HAVING and ORDER BY.";
     RowsScanned => "rows_scanned", "Snapshot-visible source rows examined by table scans (zero-copy or materializing).";
     ScansZeroCopy => "scans_zero_copy", "Scans that ran directly over a table's version storage — single-table statements whose scan-side expressions cannot re-enter the database (incl. UPDATE/DELETE under the write guard and the batched streaming cursor).";
-    ScanFallbacks => "scan_fallbacks", "Table scans that materialized the visible rows instead: joins (with a function in FROM too) and re-entrant expressions. Materializations clone only the columns the statement reads.";
+    ScanFallbacks => "scan_fallbacks", "Table scans that copied the visible rows out instead: each table of a join or of a FROM that calls a function, and single-table statements with re-entrant expressions. A SELECT clones only the columns it reads.";
     StmtCacheSize => "stmt_cache_size", "Statement-cache entries currently held.";
     StmtCacheCapacity => "stmt_cache_capacity", "Statement-cache LRU bound (default 256).";
     TxnsCommitted => "txns_committed", "Explicit transactions ended by a successful `COMMIT`.";

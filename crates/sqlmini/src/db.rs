@@ -3,7 +3,8 @@
 //! All methods take `&self`; interior mutability with per-table locks lets
 //! UDFs re-enter the database (e.g. `fmu_parest` executing its `input_sql`)
 //! without deadlocking, because the executor never holds a table lock while
-//! a UDF runs — scans snapshot their input first.
+//! a UDF runs — a statement that may call one copies the rows it reads out
+//! of the table first.
 //!
 //! The statement cache implements the paper's "prepared SQL queries"
 //! optimization (§7): repeated query texts skip the parser. It is keyed on
@@ -870,16 +871,21 @@ impl Database {
             self.bump(Stat::CacheHits, 1);
             return Ok(Statement { db: self, prepared });
         }
+        let prepared = self.parse(sql)?;
+        self.stmt_cache
+            .lock()
+            .insert(sql.to_string(), Arc::clone(&prepared));
+        Ok(Statement { db: self, prepared })
+    }
+
+    /// Parse one statement into a fresh, unplanned [`Prepared`].
+    fn parse(&self, sql: &str) -> Result<Arc<Prepared>> {
         self.bump(Stat::Parses, 1);
         // A syntax error aborts an open transaction (PostgreSQL reports
         // the parse error itself, but the transaction is done for).
         let parsed = Arc::new(parser::parse(sql).inspect_err(|_| self.abort_txn())?);
         let n_params = ast::max_param(&parsed);
-        let prepared = Arc::new(Prepared::new(parsed, n_params));
-        self.stmt_cache
-            .lock()
-            .insert(sql.to_string(), Arc::clone(&prepared));
-        Ok(Statement { db: self, prepared })
+        Ok(Arc::new(Prepared::new(parsed, n_params)))
     }
 
     /// The compiled plan for a prepared statement: reused while the
@@ -962,8 +968,8 @@ impl Database {
     }
 
     /// Reject further statements in an aborted transaction (PostgreSQL
-    /// behaviour and wording). COMMIT/ROLLBACK are exempt — the executor
-    /// does not route them here.
+    /// behaviour and wording). COMMIT/ROLLBACK are exempt —
+    /// [`Statement::query_rows`] does not route them here.
     pub(crate) fn check_txn_ok(&self) -> Result<()> {
         if self.txn_count.load(Ordering::SeqCst) == 0 {
             return Ok(());
@@ -1323,8 +1329,8 @@ impl Database {
     }
 
     /// Record one table scan: `rows` source rows examined, either
-    /// zero-copy (under the table guard, no snapshot) or through a
-    /// snapshot fallback. A guarded streaming cursor passes 0 here and
+    /// zero-copy (borrowed under the table guard) or copied out: a
+    /// copy-out or a snapshot. A guarded streaming cursor passes 0 here and
     /// bumps `rows_scanned` by its exact examined count when it finishes.
     pub(crate) fn note_scan(&self, rows: u64, zero_copy: bool) {
         self.bump(Stat::RowsScanned, rows);
@@ -1383,11 +1389,11 @@ impl Database {
     }
 
     /// Execute without consulting or filling the statement cache (used by
-    /// benchmarks to isolate the prepared-statement effect).
+    /// benchmarks to isolate the prepared-statement effect): every call
+    /// parses and plans afresh.
     pub fn execute_uncached(&self, sql: &str) -> Result<QueryResult> {
-        self.bump(Stat::Parses, 1);
-        let stmt = parser::parse(sql).inspect_err(|_| self.abort_txn())?;
-        exec::execute_stmt(self, &stmt, &[])
+        let prepared = self.parse(sql)?;
+        Statement { db: self, prepared }.query(&[])
     }
 
     /// Rebound the statement cache, evicting least-recently-used entries if
@@ -2210,6 +2216,30 @@ mod tests {
         );
         assert_eq!(db.stat(Stat::TxnsCommitted), 0);
         assert_eq!(db.stat(Stat::TxnsRolledBack), 1);
+    }
+
+    #[test]
+    fn uncached_statements_honour_the_transaction() {
+        let db = setup();
+        db.execute("BEGIN").unwrap();
+        db.execute_uncached("INSERT INTO m VALUES ('2015-03-01', 1, 1, 1)")
+            .unwrap();
+        // u = 0.0 on the first row: a runtime evaluation error.
+        assert!(db.execute_uncached("UPDATE m SET y = x / u").is_err());
+        let err = db.execute_uncached("SELECT 1").unwrap_err();
+        assert!(
+            err.to_string().ends_with(
+                "current transaction is aborted, commands ignored until end of \
+                 transaction block"
+            ),
+            "unexpected error: {err}"
+        );
+        db.execute("COMMIT").unwrap();
+        assert_eq!(db.stat(Stat::TxnsRolledBack), 1);
+        assert_eq!(
+            db.execute_uncached("SELECT count(*) FROM m").unwrap().rows[0][0],
+            Value::Int(3)
+        );
     }
 
     #[test]

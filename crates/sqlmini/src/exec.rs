@@ -40,7 +40,7 @@ use crate::decode::NamedRows;
 use crate::error::{Result, SqlError};
 use crate::plan::{
     unknown_column, AggCall, AggOp, DmlPlan, GroupPlan, InsertPlan, PhysicalPlan, PlanFn, ScanItem,
-    SelectOps, StaticSelectPlan, ZeroScan, ZeroScanKind,
+    SelectOps, StaticSelectPlan,
 };
 use crate::table::{
     rid_pos, rid_shard, Column, QueryResult, Rid, Row, Schema, Snapshot, Table, TableView, LIVE,
@@ -669,12 +669,13 @@ fn grouped_tail(mut keyed: Vec<(Vec<Value>, Row)>, ops: &SelectOps) -> Vec<Row> 
 /// deduplication run lazily per [`Iterator::next`] call against the
 /// shared physical plan, so consumers that stop early never pay for the
 /// full result and repeated executions clone no expressions. When the
-/// plan additionally classified every scan-side expression as
-/// re-entrancy-free, the cursor streams **zero-copy**: it owns the
-/// scanned table's read guard (released when drained or dropped) and
-/// never snapshots the table — see [`crate::Statement::query_rows`] for
-/// the locking rule this implies. Ordered and grouped/aggregated queries
-/// are materialized up front, as both are pipeline breakers.
+/// plan reads one table and classified every scan-side expression as
+/// re-entrancy-free, the cursor streams **borrowed rows**: it pins the
+/// table and an MVCC snapshot and refills a batch at a time under
+/// short-lived read guards, holding no lock between refills — see
+/// [`crate::Statement::query_rows`]. Otherwise it filters rows copied
+/// out before it opened. Ordered and grouped/aggregated queries are
+/// materialized up front, as both are pipeline breakers.
 pub struct Rows<'db> {
     columns: Vec<String>,
     state: RowsState<'db>,
@@ -708,7 +709,7 @@ const CURSOR_BATCH: usize = 128;
 struct MvccScan<'db> {
     db: &'db Database,
     params: Vec<Value>,
-    /// The shared plan — holds the zero-copy expressions and fns table.
+    /// The shared plan — holds the operator pipeline and fns table.
     plan: Arc<PhysicalPlan>,
     handle: Arc<parking_lot::RwLock<Table>>,
     /// The snapshot this cursor reads as of; writes stamped after its
@@ -811,12 +812,6 @@ impl MvccScan<'_> {
         let PhysicalPlan::StaticSelect(sp) = &**plan else {
             unreachable!("streaming scans hold a static SELECT plan");
         };
-        let Some(z) = &sp.zero else {
-            unreachable!("streaming scans hold a zero-copy plan");
-        };
-        let ZeroScanKind::Select { projections, .. } = &z.kind else {
-            unreachable!("streaming scans are plain SELECTs");
-        };
         let ctx = Ctx {
             db,
             params,
@@ -871,14 +866,16 @@ impl MvccScan<'_> {
                 }
                 *examined += 1;
                 let r = &v.data;
-                if let Some(p) = &z.where_clause {
+                if let Some(p) = &sp.ops.where_clause {
                     if !is_true(&eval(&ctx, p, r)?)? {
                         continue;
                     }
                 }
                 let out: Row = match slot_projs {
                     Some(slots) => slots.iter().map(|&s| r[s].clone()).collect(),
-                    None => projections
+                    None => sp
+                        .ops
+                        .projections
                         .iter()
                         .map(|e| eval(&ctx, e, r))
                         .collect::<Result<_>>()?,
@@ -1507,8 +1504,8 @@ fn probe_access(
     Ok(view.probe(ordinal, a.space, lo.as_ref(), hi.as_ref()))
 }
 
-/// The slots a zero-scan statement's batch must fill: every slot any of
-/// `exprs` reads, deduplicated.
+/// The slots a statement's batch must fill: every slot any of `exprs`
+/// reads, deduplicated.
 fn batch_slots<'e>(exprs: impl Iterator<Item = &'e Expr>) -> Vec<usize> {
     let mut slots: Vec<usize> = Vec::new();
     {
@@ -1530,15 +1527,15 @@ fn batch_slots<'e>(exprs: impl Iterator<Item = &'e Expr>) -> Vec<usize> {
 /// `Err(Fallback)` means the caller must re-run the scalar sweep.
 fn vec_grouped(
     ctx: &Ctx<'_>,
-    z: &ZeroScan,
+    where_clause: Option<&Expr>,
     gp: &GroupPlan,
     schema: &Schema,
     view: &[&Row],
 ) -> batch::VResult<Vec<(Vec<Value>, Vec<Value>)>> {
     let db = ctx.db;
     let slots = batch_slots(
-        z.where_clause
-            .iter()
+        where_clause
+            .into_iter()
             .chain(&gp.keys)
             .chain(gp.aggs.iter().flat_map(|c| &c.args)),
     );
@@ -1548,7 +1545,7 @@ fn vec_grouped(
         params: ctx.params,
         fns: ctx.fns,
     };
-    let sel = batch::filter(z.where_clause.as_ref(), &b, &cx)?;
+    let sel = batch::filter(where_clause, &b, &cx)?;
     let n = sel.len();
     let mut keys = Vec::with_capacity(gp.keys.len());
     for e in &gp.keys {
@@ -1577,7 +1574,7 @@ fn vec_grouped(
 /// `Err(Fallback)` means the caller must re-run the scalar path.
 fn vec_ordered(
     ctx: &Ctx<'_>,
-    z: &ZeroScan,
+    where_clause: Option<&Expr>,
     order_by: &[(Expr, bool)],
     schema: &Schema,
     view: &[&Row],
@@ -1588,14 +1585,14 @@ fn vec_ordered(
     let [(key_expr, desc)] = order_by else {
         return Err(batch::Fallback);
     };
-    let slots = batch_slots(z.where_clause.iter().chain([key_expr]));
+    let slots = batch_slots(where_clause.into_iter().chain([key_expr]));
     let b = batch::Batch::fill(schema, view, &slots)?;
     db.bump(Stat::BatchesFilled, 1);
     let cx = batch::VecCtx {
         params: ctx.params,
         fns: ctx.fns,
     };
-    let sel = batch::filter(z.where_clause.as_ref(), &b, &cx)?;
+    let sel = batch::filter(where_clause, &b, &cx)?;
     let n = sel.len();
     let key = batch::eval(key_expr, &b, &sel, &cx)?.materialize(n)?;
     let order = if limit < n {
@@ -1615,9 +1612,83 @@ fn vec_ordered(
     Ok(out)
 }
 
-/// Execute a static SELECT plan. The plain zero-copy shape returns an
-/// [`MvccScan`] cursor that streams the plan's snapshot in batches;
-/// every other shape is materialized before it returns.
+/// The one scan prologue of a single-table statement, run under the
+/// guard its rows come from: re-check the planned schema, load the
+/// statement's snapshot, open the table's view and probe the plan's
+/// access path, counting which path ran. Returns the snapshot, the view
+/// and the index candidates (`None`: walk every version).
+fn open_scan<'t>(
+    ctx: &Ctx<'_>,
+    table: &'t Table,
+    name: &str,
+    columns: &[String],
+    access: Option<&IndexChoice>,
+) -> Result<(Snapshot, TableView<'t>, Option<Vec<Rid>>)> {
+    if !schema_matches(&table.schema, columns) {
+        return Err(stale_plan(name));
+    }
+    let snap = ctx.db.current_snapshot();
+    let view = table.view();
+    let cand = probe_access(ctx, access, table, &view)?;
+    ctx.db.note_access(cand.is_some());
+    Ok((snap, view, cand))
+}
+
+/// Copy-out, the row source of statements whose expressions may
+/// re-enter the database: under the table's read guard, hand each
+/// candidate row visible to the statement's snapshot to `keep`, with its
+/// rid. The guard drops on return, so the caller evaluates what it kept
+/// with no guard held.
+fn copy_out(
+    ctx: &Ctx<'_>,
+    handle: &parking_lot::RwLock<Table>,
+    name: &str,
+    columns: &[String],
+    access: Option<&IndexChoice>,
+    mut keep: impl FnMut(Rid, &Row),
+) -> Result<()> {
+    let guard = handle.read();
+    let (snap, view, cand) = open_scan(ctx, &guard, name, columns, access)?;
+    let mut copied = 0u64;
+    view.scan(cand.as_deref(), snap).for_each(|(rid, v)| {
+        copied += 1;
+        keep(rid, &v.data);
+    });
+    ctx.db.note_scan(copied, false);
+    Ok(())
+}
+
+/// Borrowed rows for a grouped or ordered SELECT: collect the candidate
+/// rows visible to the statement's snapshot under the table's read
+/// guard, once, and run `f` over that slice (the vectorized kernel, the
+/// scalar operator, or the scalar re-run after a batch `Fallback`). The
+/// guard drops when `f` returns.
+fn borrow_rows<T>(
+    ctx: &Ctx<'_>,
+    handle: &parking_lot::RwLock<Table>,
+    t: &ScanItem,
+    access: Option<&IndexChoice>,
+    f: impl FnOnce(&Schema, &[&Row]) -> Result<T>,
+) -> Result<T> {
+    let guard = handle.read();
+    let (snap, view, cand) = open_scan(ctx, &guard, &t.name, &t.columns, access)?;
+    let mut rows: Vec<&Row> = Vec::new();
+    // `for_each` iterates internally: the scan dispatches once, not per
+    // row as `collect` would.
+    view.scan(cand.as_deref(), snap)
+        .for_each(|(_, v)| rows.push(&v.data));
+    let out = f(&guard.schema, &rows)?;
+    ctx.db.note_scan(rows.len() as u64, true);
+    Ok(out)
+}
+
+/// Execute a static SELECT plan. A single-table plan reads its table
+/// through its access path, from borrowed rows under the read guard or
+/// from a copy-out; joins, function scans and FROM-less SELECTs read one
+/// snapshot of every table. A plain SELECT streams — over borrowed rows
+/// through an [`MvccScan`] cursor that refills in batches, otherwise
+/// through a lazy filter over the copied rows; every other shape is
+/// materialized before it returns.
 fn run_static_select<'db>(
     db: &'db Database,
     plan: &Arc<PhysicalPlan>,
@@ -1626,240 +1697,175 @@ fn run_static_select<'db>(
     let PhysicalPlan::StaticSelect(sp) = &**plan else {
         unreachable!("run_static_select takes a static SELECT plan");
     };
-    // Zero-copy scan: the plan classified every scan-side expression as
-    // re-entrancy-free, so the statement runs directly over the table's
-    // version array under the read guard — rows are borrowed, never
-    // copied into an input snapshot, and only the projection of rows
-    // that are snapshot-visible and survive the filter is materialized.
-    if let Some(z) = &sp.zero {
-        let table = &sp.from[0];
-        let handle = db.get_table(&table.name)?;
-        let ctx = Ctx {
-            db,
-            params,
-            fns: &sp.ops.fns,
-            group: None,
-        };
-        match &z.kind {
-            // Grouped: the accumulation sweep folds borrowed rows under
-            // the guard; emission (HAVING, projection, ORDER BY — which
-            // may still call arbitrary UDFs) runs after it drops.
-            ZeroScanKind::Grouped(gp) => {
-                let groups = {
-                    let guard = handle.read();
-                    if !schema_matches(&guard.schema, &table.columns) {
-                        return Err(stale_plan(&table.name));
-                    }
-                    let snap = db.current_snapshot();
-                    let tview = guard.view();
-                    let cand = probe_access(&ctx, z.access.as_ref(), &guard, &tview)?;
-                    db.note_access(cand.is_some());
-                    let mut examined = 0u64;
-                    let rows = tview.scan(cand.as_deref(), snap).map(|(_, v)| &v.data);
-                    let groups = if z.vectorized {
-                        // Vectorized: collect the visible-row view once,
-                        // fill a column batch, and fold whole column
-                        // slices per group. Any shape the typed kernels
-                        // cannot reproduce byte-identically re-runs the
-                        // scalar sweep over the same view, under the
-                        // same guard and snapshot. (`for_each` iterates
-                        // internally: the scan dispatches once, not per
-                        // row as `collect` would.)
-                        let mut view: Vec<&Row> = Vec::new();
-                        rows.for_each(|r| view.push(r));
-                        examined = view.len() as u64;
-                        match vec_grouped(&ctx, z, gp, &guard.schema, &view) {
-                            Ok(groups) => groups,
-                            Err(batch::Fallback) => {
-                                db.bump(Stat::VectorizedFallbacks, 1);
-                                grouped_groups(
-                                    &ctx,
-                                    z.where_clause.as_ref(),
-                                    gp,
-                                    view.iter().copied(),
-                                )?
-                            }
-                        }
-                    } else {
-                        grouped_groups(
-                            &ctx,
-                            z.where_clause.as_ref(),
-                            gp,
-                            rows.inspect(|_| examined += 1),
-                        )?
-                    };
-                    db.note_scan(examined, true);
-                    groups
-                };
-                let keyed = emit_groups(db, params, &sp.ops, groups)?;
-                let rows = grouped_tail(keyed, &sp.ops);
-                return Ok(Rows {
-                    columns: sp.ops.columns.clone(),
-                    state: RowsState::Done(rows.into_iter()),
-                });
-            }
-            // Plain / DISTINCT / ordered SELECT: filter and project per
-            // borrowed row; the sort (if any) runs after the guard
-            // drops, over pruned projections instead of full-row clones.
-            ZeroScanKind::Select {
-                projections,
-                order_by,
-            } => {
-                // Projection lists that are plain column references (the
-                // common `SELECT a, b, c` shape) clone slots directly,
-                // skipping expression dispatch per value.
-                let slot_projs: Option<Vec<usize>> = projections
-                    .iter()
-                    .map(|e| match e {
-                        Expr::Slot(i) => Some(*i),
-                        _ => None,
-                    })
-                    .collect();
-                let project = |r: &Row| -> Result<Row> {
-                    match &slot_projs {
-                        Some(slots) => Ok(slots.iter().map(|&i| r[i].clone()).collect()),
-                        None => {
-                            let mut out = Vec::with_capacity(projections.len());
-                            for e in projections {
-                                out.push(eval(&ctx, e, r)?);
-                            }
-                            Ok(out)
-                        }
-                    }
-                };
-                let ordered = !order_by.is_empty() || !sp.ops.distinct_order.is_empty();
-                if !ordered {
-                    // True streaming: the cursor pins the table and an
-                    // MVCC snapshot, then filters/projects borrowed rows
-                    // in batches under short-lived read guards — early-
-                    // stopping consumers pay only for what they read, and
-                    // the consumer may write to the scanned table between
-                    // batches (its writes are newer than the snapshot and
-                    // stay invisible to the stream).
-                    let (snap, cand) = {
-                        let guard = handle.read();
-                        if !schema_matches(&guard.schema, &table.columns) {
-                            return Err(stale_plan(&table.name));
-                        }
-                        // Pin before loading the snapshot so compaction
-                        // cannot renumber versions under the cursor (the
-                        // same pin keeps any probed candidate positions
-                        // valid across refills).
-                        guard.pin();
-                        let snap = db.current_snapshot();
-                        let tview = guard.view();
-                        match probe_access(&ctx, z.access.as_ref(), &guard, &tview) {
-                            Ok(cand) => (snap, cand),
-                            Err(e) => {
-                                drop(tview);
-                                guard.unpin();
-                                return Err(e);
-                            }
-                        }
-                    };
-                    db.note_access(cand.is_some());
-                    // Rows examined are charged when the cursor finishes
-                    // (see `MvccScan::drop`); only the strategy is
-                    // recorded here.
-                    db.note_scan(0, true);
-                    return Ok(Rows {
-                        columns: sp.ops.columns.clone(),
-                        state: RowsState::Mvcc(Box::new(MvccScan {
-                            db,
-                            params: params.to_vec(),
-                            plan: Arc::clone(plan),
-                            handle,
-                            snap,
-                            slot_projs,
-                            cand,
-                            cur_shard: 0,
-                            next_version: 0,
-                            unpinned_below: 0,
-                            examined: 0,
-                            buf: VecDeque::new(),
-                            seen: sp.ops.distinct.then(HashSet::new),
-                            remaining: sp.ops.limit,
-                            failed: false,
-                            pending_err: None,
-                            done: false,
-                        })),
-                    });
-                }
-                // Sort keys and projections evaluate per surviving row;
-                // the sort (and DISTINCT + LIMIT) runs on those pruned
-                // projections after the guard drops.
-                let guard = handle.read();
-                if !schema_matches(&guard.schema, &table.columns) {
-                    return Err(stale_plan(&table.name));
-                }
-                let snap = db.current_snapshot();
-                let tview = guard.view();
-                let cand = probe_access(&ctx, z.access.as_ref(), &guard, &tview)?;
-                db.note_access(cand.is_some());
-                let mut examined = 0u64;
-                let mut keyed: Vec<(Vec<Value>, Row)> = Vec::new();
-                let per_row = |keyed: &mut Vec<(Vec<Value>, Row)>, r: &Row| -> Result<()> {
-                    if let Some(p) = &z.where_clause {
-                        if !is_true(&eval(&ctx, p, r)?)? {
-                            return Ok(());
-                        }
-                    }
-                    let mut sort_key = Vec::with_capacity(order_by.len());
-                    for (e, _) in order_by {
-                        sort_key.push(eval(&ctx, e, r)?);
-                    }
-                    keyed.push((sort_key, project(r)?));
-                    Ok(())
-                };
-                let rows = 'rows: {
-                    let rows = tview.scan(cand.as_deref(), snap).map(|(_, v)| &v.data);
-                    if z.vectorized {
-                        // Vectorized: specialized single-key index sort
-                        // (or the bounded top-K heap when LIMIT applies)
-                        // over a typed key column; only the surviving
-                        // rows are projected. A batch the kernels cannot
-                        // reproduce re-runs the scalar path over the
-                        // same view.
-                        let mut view: Vec<&Row> = Vec::new();
-                        rows.for_each(|r| view.push(r));
-                        examined = view.len() as u64;
-                        match vec_ordered(
-                            &ctx,
-                            z,
-                            order_by,
-                            &guard.schema,
-                            &view,
-                            sp.ops.limit,
-                            &project,
-                        ) {
-                            Ok(rows) => break 'rows rows,
-                            Err(batch::Fallback) => {
-                                db.bump(Stat::VectorizedFallbacks, 1);
-                                for r in view {
-                                    per_row(&mut keyed, r)?;
-                                }
-                            }
-                        }
-                    } else {
-                        for r in rows {
-                            examined += 1;
-                            per_row(&mut keyed, r)?;
-                        }
-                    }
-                    grouped_tail(keyed, &sp.ops)
-                };
-                db.note_scan(examined, true);
-                drop(tview);
-                drop(guard);
-                return Ok(Rows {
-                    columns: sp.ops.columns.clone(),
-                    state: RowsState::Done(rows.into_iter()),
-                });
-            }
+    let (Some(scan), [t]) = (&sp.table, sp.from.as_slice()) else {
+        let rows = scan_tables(db, sp, params)?;
+        return run_select(db, plan, rows, params);
+    };
+    let ops = &sp.ops;
+    let handle = db.get_table(&t.name)?;
+    let ctx = Ctx {
+        db,
+        params,
+        fns: &ops.fns,
+        group: None,
+    };
+    let access = scan.access.as_ref();
+    if !scan.under_guard {
+        // Copy-out: keep only the columns the statement reads (NULL in
+        // the others, so the plan's full-layout slots still address
+        // them; no slot reaches past the last one read), then run the
+        // pipeline with no guard held.
+        let mut read = vec![false; t.used.last().map_or(0, |&c| c + 1)];
+        for &c in &t.used {
+            read[c] = true;
         }
+        let mut rows: Vec<Row> = Vec::new();
+        copy_out(&ctx, &handle, &t.name, &t.columns, access, |_, r| {
+            let row = r.iter().zip(&read);
+            rows.push(
+                row.map(|(v, &read)| if read { v.clone() } else { Value::Null })
+                    .collect(),
+            );
+        })?;
+        return run_select(db, plan, rows, params);
     }
-    let rows = scan_tables(db, sp, params)?;
-    run_select(db, plan, rows, params)
+    // Borrowed rows: the statement runs directly over the table's
+    // version array under the read guard — rows are never copied, and
+    // only the projection of rows that are snapshot-visible and survive
+    // the filter is materialized.
+    let where_clause = ops.where_clause.as_ref();
+    let output = if let Some(gp) = &ops.group {
+        // Grouped: the accumulation sweep folds borrowed rows under the
+        // guard; emission (HAVING, projection, ORDER BY — which may
+        // still call arbitrary UDFs) runs after it drops.
+        let groups = borrow_rows(&ctx, &handle, t, access, |schema, rows| {
+            if scan.vectorized {
+                // Fold whole column slices per group. Any shape the
+                // typed kernels cannot reproduce byte-identically re-runs
+                // the scalar sweep over the same rows.
+                match vec_grouped(&ctx, where_clause, gp, schema, rows) {
+                    Ok(groups) => return Ok(groups),
+                    Err(batch::Fallback) => db.bump(Stat::VectorizedFallbacks, 1),
+                }
+            }
+            grouped_groups(&ctx, where_clause, gp, rows.iter().copied())
+        })?;
+        grouped_tail(emit_groups(db, params, ops, groups)?, ops)
+    } else {
+        // Projection lists that are plain column references (the common
+        // `SELECT a, b, c` shape) clone slots directly, skipping
+        // expression dispatch per value.
+        let slot_projs: Option<Vec<usize>> = ops
+            .projections
+            .iter()
+            .map(|e| match e {
+                Expr::Slot(i) => Some(*i),
+                _ => None,
+            })
+            .collect();
+        if ops.order_by.is_empty() && ops.distinct_order.is_empty() {
+            // True streaming: the cursor pins the table and an MVCC
+            // snapshot, then filters/projects borrowed rows in batches
+            // under short-lived read guards — early-stopping consumers
+            // pay only for what they read, and the consumer may write to
+            // the scanned table between batches (its writes are newer
+            // than the snapshot and stay invisible to the stream).
+            let (snap, cand) = {
+                let guard = handle.read();
+                // Pin before loading the snapshot so compaction cannot
+                // renumber versions under the cursor (the same pin keeps
+                // any probed candidate positions valid across refills).
+                guard.pin();
+                let opened = open_scan(&ctx, &guard, &t.name, &t.columns, access);
+                match opened {
+                    Ok((snap, _, cand)) => (snap, cand),
+                    Err(e) => {
+                        guard.unpin();
+                        return Err(e);
+                    }
+                }
+            };
+            // Rows examined are charged when the cursor finishes (see
+            // `MvccScan::drop`); only the strategy is recorded here.
+            db.note_scan(0, true);
+            return Ok(Rows {
+                columns: ops.columns.clone(),
+                state: RowsState::Mvcc(Box::new(MvccScan {
+                    db,
+                    params: params.to_vec(),
+                    plan: Arc::clone(plan),
+                    handle,
+                    snap,
+                    slot_projs,
+                    cand,
+                    cur_shard: 0,
+                    next_version: 0,
+                    unpinned_below: 0,
+                    examined: 0,
+                    buf: VecDeque::new(),
+                    seen: ops.distinct.then(HashSet::new),
+                    remaining: ops.limit,
+                    failed: false,
+                    pending_err: None,
+                    done: false,
+                })),
+            });
+        }
+        let project = |r: &Row| -> Result<Row> {
+            match &slot_projs {
+                Some(slots) => Ok(slots.iter().map(|&i| r[i].clone()).collect()),
+                None => {
+                    let mut out = Vec::with_capacity(ops.projections.len());
+                    for e in &ops.projections {
+                        out.push(eval(&ctx, e, r)?);
+                    }
+                    Ok(out)
+                }
+            }
+        };
+        borrow_rows(&ctx, &handle, t, access, |schema, rows| {
+            if scan.vectorized {
+                // Specialized single-key index sort (or the bounded
+                // top-K heap when LIMIT applies) over a typed key column;
+                // only the surviving rows are projected. A batch the
+                // kernels cannot reproduce re-runs the scalar path over
+                // the same rows.
+                match vec_ordered(
+                    &ctx,
+                    where_clause,
+                    &ops.order_by,
+                    schema,
+                    rows,
+                    ops.limit,
+                    &project,
+                ) {
+                    Ok(out) => return Ok(out),
+                    Err(batch::Fallback) => db.bump(Stat::VectorizedFallbacks, 1),
+                }
+            }
+            // Sort keys and projections evaluate per surviving row; the
+            // sort (and DISTINCT + LIMIT) runs on those pruned
+            // projections, never on full-row clones.
+            let mut keyed: Vec<(Vec<Value>, Row)> = Vec::new();
+            for &r in rows {
+                if let Some(p) = where_clause {
+                    if !is_true(&eval(&ctx, p, r)?)? {
+                        continue;
+                    }
+                }
+                let mut sort_key = Vec::with_capacity(ops.order_by.len());
+                for (e, _) in &ops.order_by {
+                    sort_key.push(eval(&ctx, e, r)?);
+                }
+                keyed.push((sort_key, project(r)?));
+            }
+            Ok(grouped_tail(keyed, ops))
+        })?
+    };
+    Ok(Rows {
+        columns: ops.columns.clone(),
+        state: RowsState::Done(output.into_iter()),
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1971,12 +1977,12 @@ fn run_insert<'db>(
 }
 
 /// UPDATE and DELETE (a DELETE is an UPDATE without a SET list). Every
-/// target version is collected first, through the scan SELECT's zero-copy
-/// arms use — index candidates when the plan chose an access path — so
-/// an UPDATE that moves an indexed key never revisits its own successors
-/// and an evaluation error leaves the table untouched. Then, under the
-/// write guard and one write stamp, each target is ended and each UPDATE
-/// successor appended. A target another transaction has already ended
+/// target version is collected first, through the scan prologue and row
+/// sources a single-table SELECT uses — index candidates when the plan
+/// chose an access path — so an UPDATE that moves an indexed key never
+/// revisits its own successors and an evaluation error leaves the table
+/// untouched. Then, under the write guard and one write stamp, each
+/// target is ended and each UPDATE successor appended. A target another transaction has already ended
 /// is a first-updater-wins conflict.
 fn run_dml<'db>(db: &'db Database, dp: &DmlPlan, params: &[Value]) -> Result<Rows<'db>> {
     let ctx = Ctx {
@@ -2017,13 +2023,8 @@ fn run_dml<'db>(db: &'db Database, dp: &DmlPlan, params: &[Value]) -> Result<Row
     let mut guard = if dp.under_guard {
         // Re-entrancy-free: evaluate borrowed rows under the write guard.
         let guard = handle.write();
-        if !schema_matches(&guard.schema, &dp.schema_cols) {
-            return Err(stale_plan(&dp.table));
-        }
-        let snap = db.current_snapshot();
-        let view = guard.view();
-        let cand = probe_access(&ctx, dp.access.as_ref(), &guard, &view)?;
-        db.note_access(cand.is_some());
+        let (snap, view, cand) =
+            open_scan(&ctx, &guard, &dp.table, &dp.schema_cols, dp.access.as_ref())?;
         let mut examined = 0u64;
         for (rid, v) in view.scan(cand.as_deref(), snap) {
             examined += 1;
@@ -2033,24 +2034,19 @@ fn run_dml<'db>(db: &'db Database, dp: &DmlPlan, params: &[Value]) -> Result<Row
         drop(view);
         guard
     } else {
-        // Re-entrant: copy the candidates out under the read guard, then
-        // evaluate lock-free so UDFs may call back into the database.
-        let (schema, copied) = {
-            let g = handle.read();
-            if !schema_matches(&g.schema, &dp.schema_cols) {
-                return Err(stale_plan(&dp.table));
-            }
-            let snap = db.current_snapshot();
-            let view = g.view();
-            let cand = probe_access(&ctx, dp.access.as_ref(), &g, &view)?;
-            db.note_access(cand.is_some());
-            let copied: Vec<(Rid, Row)> = view
-                .scan(cand.as_deref(), snap)
-                .map(|(rid, v)| (rid, v.data.clone()))
-                .collect();
-            db.note_scan(copied.len() as u64, false);
-            (g.schema.clone(), copied)
-        };
+        // Re-entrant: copy the candidates out, then evaluate lock-free so
+        // UDFs may call back into the database.
+        let mut copied: Vec<(Rid, Row)> = Vec::new();
+        copy_out(
+            &ctx,
+            &handle,
+            &dp.table,
+            &dp.schema_cols,
+            dp.access.as_ref(),
+            |rid, r| copied.push((rid, r.clone())),
+        )?;
+        // A table's schema never changes: DDL replaces the whole table.
+        let schema = handle.read().schema.clone();
         for (rid, r) in &copied {
             visit(*rid, r, &schema)?;
         }
@@ -2200,20 +2196,16 @@ fn run_other<'db>(db: &'db Database, stmt: &Stmt) -> Result<Rows<'db>> {
 
 /// Execute a statement against its compiled plan with bind parameters;
 /// `SELECT`s stream through [`Rows`], everything else returns its (tiny)
-/// materialized status result.
+/// materialized status result. The caller, [`crate::Statement::query_rows`],
+/// rejects statements in an aborted transaction and aborts the
+/// transaction when this fails.
 pub(crate) fn execute<'db>(
     db: &'db Database,
     stmt: &Stmt,
     plan: &Arc<PhysicalPlan>,
     params: &[Value],
 ) -> Result<Rows<'db>> {
-    // Inside an aborted transaction every statement except COMMIT /
-    // ROLLBACK is rejected with PostgreSQL's wording; and a failed
-    // statement aborts the enclosing transaction, as in PostgreSQL.
-    if !matches!(stmt, Stmt::Commit | Stmt::Rollback) {
-        db.check_txn_ok()?;
-    }
-    let result = match &**plan {
+    match &**plan {
         PhysicalPlan::StaticSelect(_) => run_static_select(db, plan, params),
         PhysicalPlan::Insert(ip) => run_insert(db, stmt, ip, params),
         PhysicalPlan::Update(dp) | PhysicalPlan::Delete(dp) => run_dml(db, dp, params),
@@ -2225,33 +2217,5 @@ pub(crate) fn execute<'db>(
             Ok(Rows::from_result(q))
         }
         PhysicalPlan::Other => run_other(db, stmt),
-    };
-    if result.is_err() {
-        db.abort_txn();
     }
-    result
-}
-
-/// Compile and execute one statement, materializing the result. Used by
-/// the uncached execution path; prepared statements share their plan
-/// through the statement cache instead.
-pub fn execute_stmt(db: &Database, stmt: &Stmt, params: &[Value]) -> Result<QueryResult> {
-    execute_stmt_rows(db, stmt, params)?.into_result()
-}
-
-/// Compile and execute one statement, streaming the result rows.
-pub fn execute_stmt_rows<'db>(
-    db: &'db Database,
-    stmt: &Stmt,
-    params: &[Value],
-) -> Result<Rows<'db>> {
-    // Mirror `Statement::query_rows`: aborted transactions reject the
-    // statement before planning, and a plan-time failure aborts an open
-    // transaction just like an execution failure.
-    if !matches!(stmt, Stmt::Commit | Stmt::Rollback) {
-        db.check_txn_ok()?;
-    }
-    let plan = Arc::new(crate::plan::compile(db, stmt).inspect_err(|_| db.abort_txn())?);
-    db.bump(Stat::PlansBuilt, 1);
-    execute(db, stmt, &plan, params)
 }

@@ -112,15 +112,13 @@ pub(crate) enum PhysicalPlan {
 pub(crate) struct StaticSelectPlan {
     /// FROM items in join order.
     pub from: Vec<ScanItem>,
-    /// The resolved operator pipeline. Every expression addresses the
-    /// **pruned** row layout.
+    /// The resolved operator pipeline. A single-table plan's expressions
+    /// address the table's **full** column layout; every other plan's
+    /// address the **pruned** row layout.
     pub ops: SelectOps,
-    /// Zero-copy scan program (expressions in the **full** row layout of
-    /// the single scanned table), present when every scan-side
-    /// expression is re-entrancy-free — the executor then runs the scan
-    /// over borrowed rows under the table read guard, materializing only
-    /// the projection of rows that survive the filter.
-    pub zero: Option<ZeroScan>,
+    /// How a single-table plan reads its table; `None` for joins,
+    /// function scans and FROM-less SELECTs, which scan a snapshot.
+    pub table: Option<TableScan>,
     /// Hash equi-join chosen by the cost model for a two-table scan:
     /// build a hash table over the right table's join keys, probe with
     /// the left. Slots address the pruned concatenated row layout.
@@ -138,8 +136,9 @@ pub(crate) struct ScanItem {
     /// out-of-bounds (or silently remapped) `Slot`.
     pub columns: Vec<String>,
     /// The column indices the statement actually reads, ascending; every
-    /// column of a function. Snapshot scans clone only these columns; the
-    /// pruned row is the concatenation of each item's used columns.
+    /// column of a function. Copy-out and snapshot scans clone only
+    /// these columns; a snapshot's pruned row is the concatenation of
+    /// each item's used columns.
     pub used: Vec<usize>,
     /// The function of a function scan; `None` for a table.
     pub call: Option<FunctionScan>,
@@ -164,42 +163,23 @@ pub(crate) struct HashJoin {
     pub right_slot: usize,
 }
 
-/// The under-guard half of a zero-copy scan: the statement's scan-side
-/// expressions, kept in the scanned table's full column layout so they
-/// evaluate directly against borrowed rows. Scalar calls index the same
-/// [`SelectOps::fns`] table as the pruned pipeline.
-pub(crate) struct ZeroScan {
-    /// WHERE predicate (full layout).
-    pub where_clause: Option<Expr>,
-    pub kind: ZeroScanKind,
-    /// Cost-chosen index access path: probe this index for candidate
-    /// version positions instead of walking every version. Candidates
-    /// are a superset; the executor re-checks visibility and the full
-    /// WHERE clause, so results are identical to a sequential scan.
+/// How a single-table SELECT reads its table: the access path and row
+/// source an UPDATE or DELETE with the same WHERE clause takes.
+pub(crate) struct TableScan {
+    /// Cost-chosen index access path (see [`DmlPlan::access`]).
     pub access: Option<IndexChoice>,
+    /// Every scan-side expression is re-entrancy-free: the executor
+    /// evaluates borrowed rows under the table's read guard. Otherwise it
+    /// copies the columns the statement reads out of the candidate rows
+    /// and evaluates with no guard held.
+    pub under_guard: bool,
     /// Plan-time choice: run this scan on the columnar batch path
     /// (typed column vectors with vectorized filter / aggregate / sort
-    /// kernels, see `batch.rs`). The executor may still fall back to
-    /// the scalar path at run time when a batch holds value shapes the
-    /// kernels cannot reproduce byte-identically.
+    /// kernels, see `batch.rs`). Only borrowed rows fill a batch. The
+    /// executor may still fall back to the scalar path at run time when
+    /// a batch holds value shapes the kernels cannot reproduce
+    /// byte-identically.
     pub vectorized: bool,
-}
-
-/// What runs under the read guard for each statement shape.
-pub(crate) enum ZeroScanKind {
-    /// Plain / DISTINCT / ordered SELECT: the projection (and ORDER BY
-    /// keys) evaluate per surviving row; only their results materialize.
-    Select {
-        /// Projection expressions (full layout).
-        projections: Vec<Expr>,
-        /// ORDER BY keys (full layout); the sort itself runs after the
-        /// guard drops, over `(key, projected row)` pairs.
-        order_by: Vec<(Expr, bool)>,
-    },
-    /// Grouped query: the accumulation sweep (keys + aggregate
-    /// arguments, full layout) runs under the guard; emission reads the
-    /// memoized per-group values through the pruned pipeline afterwards.
-    Grouped(GroupPlan),
 }
 
 /// UPDATE / DELETE with the predicate (and SET expressions) resolved to
@@ -222,8 +202,10 @@ pub(crate) struct DmlPlan {
     pub where_clause: Option<Expr>,
     /// Resolved scalar functions referenced by the expressions.
     pub fns: Vec<PlanFn>,
-    /// Cost-chosen index access path, exactly as a SELECT with the same
-    /// WHERE clause would probe it (see [`ZeroScan::access`]).
+    /// Cost-chosen index access path: probe this index for candidate
+    /// version positions instead of walking every version. Candidates
+    /// are a superset; the executor re-checks visibility and the full
+    /// WHERE clause, so results are identical to a sequential scan.
     pub access: Option<IndexChoice>,
     /// Every expression is re-entrancy-free: the executor evaluates
     /// borrowed rows under the table's write guard. Otherwise it copies
@@ -540,25 +522,36 @@ pub(crate) fn scan_safe(e: &Expr, fns: &[PlanFn]) -> bool {
     }
 }
 
-/// May this zero-copy scan run on the columnar batch path? Stricter
-/// than [`scan_safe`]: every scan-side expression must be one the typed
-/// kernels implement, and the statement shape must map onto a batch
-/// operator — grouped aggregation, or a single-key ordered SELECT
-/// (where the specialized index sort and the top-K heap apply).
-/// Unordered streaming SELECTs keep the tuple-at-a-time cursor: they
-/// hand rows out incrementally, which a materialized batch cannot.
-fn vectorizable(z: &ZeroScan, ops: &SelectOps) -> bool {
+/// May a single-table SELECT evaluate borrowed rows under the table's
+/// read guard? Its scan side must be re-entrancy-free: WHERE, plus the
+/// keys and aggregate arguments of a grouped query (emission runs after
+/// the guard drops, so HAVING, the projection and ORDER BY may call any
+/// UDF), or else the projection and the ORDER BY keys.
+fn select_under_guard(ops: &SelectOps) -> bool {
+    let safe = |e: &Expr| scan_safe(e, &ops.fns);
+    ops.where_clause.as_ref().is_none_or(safe)
+        && match &ops.group {
+            Some(gp) => gp.keys.iter().all(safe) && gp.aggs.iter().all(|c| c.args.iter().all(safe)),
+            None => ops.projections.iter().all(safe) && ops.order_by.iter().all(|(e, _)| safe(e)),
+        }
+}
+
+/// May a single-table SELECT over borrowed rows run on the columnar
+/// batch path? Stricter than [`select_under_guard`]: every scan-side
+/// expression must be one the typed kernels implement, and the statement
+/// shape must map onto a batch operator — grouped aggregation, or a
+/// single-key ordered SELECT (where the specialized index sort and the
+/// top-K heap apply). Unordered streaming SELECTs keep the
+/// tuple-at-a-time cursor: they hand rows out incrementally, which a
+/// materialized batch cannot.
+fn vectorizable(ops: &SelectOps) -> bool {
     let ok = |e: &Expr| vec_expr_ok(e, &ops.fns);
-    if !z.where_clause.as_ref().is_none_or(ok) {
+    if !ops.where_clause.as_ref().is_none_or(ok) {
         return false;
     }
-    match &z.kind {
-        ZeroScanKind::Grouped(gp) => {
-            gp.keys.iter().all(ok) && gp.aggs.iter().all(|c| c.args.iter().all(ok))
-        }
-        ZeroScanKind::Select { order_by, .. } => {
-            order_by.len() == 1 && !ops.distinct && ok(&order_by[0].0)
-        }
+    match &ops.group {
+        Some(gp) => gp.keys.iter().all(ok) && gp.aggs.iter().all(|c| c.args.iter().all(ok)),
+        None => ops.order_by.len() == 1 && !ops.distinct && ok(&ops.order_by[0].0),
     }
 }
 
@@ -657,25 +650,31 @@ fn compile_select(db: &Database, sel: &SelectStmt) -> Result<PhysicalPlan> {
         });
     }
     let mut ops = build_select(sel, &bindings, resolver)?;
-    let mut zero = build_zero_scan(&ops, &from);
-    prune_columns(&mut ops, &mut from, &bindings);
-    if let Some(z) = &mut zero {
-        z.access = choose_index_access(db, &from[0].name, z.where_clause.as_ref());
-        z.vectorized = db.vectorized_enabled() && vectorizable(z, &ops);
-    }
+    let table = match from.as_slice() {
+        [t] if t.call.is_none() => {
+            let under_guard = select_under_guard(&ops);
+            Some(TableScan {
+                access: choose_index_access(db, &t.name, ops.where_clause.as_ref()),
+                under_guard,
+                vectorized: under_guard && db.vectorized_enabled() && vectorizable(&ops),
+            })
+        }
+        _ => None,
+    };
+    prune_columns(&mut ops, &mut from, &bindings, table.is_none());
     let hash_join = choose_hash_join(db, &from, &ops);
     Ok(PhysicalPlan::StaticSelect(Box::new(StaticSelectPlan {
         from,
         ops,
-        zero,
+        table,
         hash_join,
     })))
 }
 
-/// Cost out a secondary-index access path for a single-table zero-copy
-/// scan or an UPDATE/DELETE. Both keep the table's full row layout, so
-/// sargable slots are schema column ordinals — exactly what indexes
-/// cover.
+/// Cost out a secondary-index access path for a single-table scan:
+/// SELECT, UPDATE or DELETE, whatever its row source. All keep the
+/// table's full row layout, so sargable slots are schema column
+/// ordinals — exactly what indexes cover.
 fn choose_index_access(
     db: &Database,
     table: &str,
@@ -750,68 +749,18 @@ fn column_dtype(db: &Database, table: &str, column: usize) -> Option<DataType> {
     guard.schema.columns.get(column).map(|c| c.dtype)
 }
 
-/// Classify a plan's scan: when it reads a single table and every
-/// scan-side expression is re-entrancy-free, clone those expressions
-/// (still in the full column layout) into the zero-copy scan program the
-/// executor runs under the table read guard. Re-entrant expressions —
-/// UDFs that may call back into the database — keep the snapshot path,
-/// chosen here, per plan, never per row.
-fn build_zero_scan(ops: &SelectOps, from: &[ScanItem]) -> Option<ZeroScan> {
-    if !matches!(from, [t] if t.call.is_none()) {
-        return None;
-    }
-    let safe = |e: &Expr| scan_safe(e, &ops.fns);
-    if !ops.where_clause.as_ref().is_none_or(safe) {
-        return None;
-    }
-    match &ops.group {
-        Some(gp) => {
-            // Grouped: only the accumulation sweep runs under the guard
-            // (emission reads memoized group values, so HAVING /
-            // projection / ORDER BY may still call arbitrary UDFs).
-            let sweep_safe =
-                gp.keys.iter().all(safe) && gp.aggs.iter().all(|c| c.args.iter().all(safe));
-            sweep_safe.then(|| ZeroScan {
-                where_clause: ops.where_clause.clone(),
-                access: None,
-                vectorized: false,
-                kind: ZeroScanKind::Grouped(GroupPlan {
-                    keys: gp.keys.clone(),
-                    aggs: gp
-                        .aggs
-                        .iter()
-                        .map(|c| AggCall {
-                            op: c.op,
-                            args: c.args.clone(),
-                        })
-                        .collect(),
-                    // HAVING belongs to emission; the sweep never
-                    // evaluates it.
-                    having: None,
-                }),
-            })
-        }
-        None => {
-            let all_safe =
-                ops.projections.iter().all(safe) && ops.order_by.iter().all(|(e, _)| safe(e));
-            all_safe.then(|| ZeroScan {
-                where_clause: ops.where_clause.clone(),
-                access: None,
-                vectorized: false,
-                kind: ZeroScanKind::Select {
-                    projections: ops.projections.clone(),
-                    order_by: ops.order_by.clone(),
-                },
-            })
-        }
-    }
-}
-
 /// Column pruning: compute the set of slots the pipeline and the
-/// function arguments actually read, re-address every expression to the
-/// pruned row layout, and record each FROM item's used column indices
-/// (what a snapshot scan must clone). A function keeps every column.
-fn prune_columns(ops: &mut SelectOps, from: &mut [ScanItem], bindings: &[Binding]) {
+/// function arguments actually read and record each FROM item's used
+/// column indices (what a copy-out or snapshot scan must clone). With
+/// `readdress`, also rewrite every expression to the pruned row layout;
+/// a single-table plan keeps the table's full layout instead. A function
+/// keeps every column.
+fn prune_columns(
+    ops: &mut SelectOps,
+    from: &mut [ScanItem],
+    bindings: &[Binding],
+    readdress: bool,
+) {
     let mut used: Vec<usize> = Vec::new();
     {
         let mut mark = |i: usize| used.push(i);
@@ -842,6 +791,16 @@ fn prune_columns(ops: &mut SelectOps, from: &mut [ScanItem], bindings: &[Binding
     }
     used.sort_unstable();
     used.dedup();
+    for (item, b) in from.iter_mut().zip(bindings) {
+        item.used = used
+            .iter()
+            .filter(|&&s| s >= b.offset && s < b.offset + b.columns.len())
+            .map(|&s| s - b.offset)
+            .collect();
+    }
+    if !readdress {
+        return;
+    }
     // Old flat slot -> pruned index.
     let full_width = bindings.last().map_or(0, |b| b.offset + b.columns.len());
     let mut map = vec![usize::MAX; full_width];
@@ -869,17 +828,12 @@ fn prune_columns(ops: &mut SelectOps, from: &mut [ScanItem], bindings: &[Binding
             map_slots(h, &mut remap);
         }
     }
-    for (item, b) in from.iter_mut().zip(bindings) {
+    for item in from.iter_mut() {
         if let Some(call) = &mut item.call {
             for a in &mut call.args {
                 map_slots(a, &mut remap);
             }
         }
-        item.used = used
-            .iter()
-            .filter(|&&s| s >= b.offset && s < b.offset + b.columns.len())
-            .map(|&s| s - b.offset)
-            .collect();
     }
 }
 
@@ -1490,29 +1444,28 @@ fn column_name(cols: &[String], s: usize) -> String {
 }
 
 fn render_static(p: &StaticSelectPlan) -> Vec<String> {
+    // Pruned slot names serve only plans that are not single-table.
     let pruned = |s: usize| pruned_slot_name(p, s);
-    let filter = p
-        .ops
-        .where_clause
-        .as_ref()
-        .map(|w| format!("  Filter: {}", render_expr(w, &pruned, &p.ops.fn_names)));
+    let filter = || {
+        p.ops
+            .where_clause
+            .as_ref()
+            .map(|w| format!("  Filter: {}", render_expr(w, &pruned, &p.ops.fn_names)))
+    };
     let scan = if let [t] = p.from.as_slice() {
-        match &p.zero {
-            Some(z) => {
-                // Zero-copy scan: expressions are in the full layout.
+        match &p.table {
+            Some(ts) => {
+                // Single-table plan: expressions are in the full layout.
                 let full = |s: usize| column_name(&t.columns, s);
                 let mut lines = render_scan(
                     &t.name,
-                    z.access.as_ref(),
-                    z.where_clause.as_ref(),
+                    ts.access.as_ref(),
+                    p.ops.where_clause.as_ref(),
                     &full,
                     &p.ops.fn_names,
                 );
-                lines.push(format!("  Vectorized: {}", z.vectorized));
-                if z.vectorized
-                    && matches!(z.kind, ZeroScanKind::Select { .. })
-                    && p.ops.limit != usize::MAX
-                {
+                lines.push(format!("  Vectorized: {}", ts.vectorized));
+                if ts.vectorized && p.ops.group.is_none() && p.ops.limit != usize::MAX {
                     // Bounded ordered SELECT on the batch path: the sort
                     // is a top-K heap, not a full sort.
                     let mut topk = vec![format!("Top-K (k={})", p.ops.limit)];
@@ -1521,7 +1474,7 @@ fn render_static(p: &StaticSelectPlan) -> Vec<String> {
                 }
                 lines
             }
-            None => [scan_node(t)].into_iter().chain(filter).collect(),
+            None => [scan_node(t)].into_iter().chain(filter()).collect(),
         }
     } else {
         let children: Vec<String> = p
@@ -1540,7 +1493,7 @@ fn render_static(p: &StaticSelectPlan) -> Vec<String> {
             ],
             None => vec!["NestedLoop".to_string()],
         };
-        lines.extend(filter);
+        lines.extend(filter());
         lines.extend(children);
         lines
     };

@@ -698,8 +698,8 @@ impl Table {
     }
 
     /// Clone the rows visible to `snap` keeping only the given columns,
-    /// in `cols` order — the column-pruned snapshot the executor takes
-    /// when a scan cannot run zero-copy. Cloning whole rows is the fast
+    /// in `cols` order — the column-pruned snapshot of a join or of a
+    /// FROM that calls a function. Cloning whole rows is the fast
     /// path when every column is read.
     pub(crate) fn project_rows(&self, cols: &[usize], snap: Snapshot) -> Vec<Row> {
         let view = self.view();
@@ -858,8 +858,9 @@ impl TableView<'_> {
     /// The one table scan: `(rid, version)` pairs visible to `snap`, in
     /// ascending rid order. With `cand` — an index probe's ascending
     /// candidate rids — it walks only those; otherwise every version of
-    /// every shard. SELECT's zero-copy arms, UPDATE, DELETE, the
-    /// snapshot clones and ANALYZE all read through it.
+    /// every shard. Single-table SELECT, UPDATE and DELETE (borrowed
+    /// rows or a copy-out), the snapshot clones and ANALYZE all read
+    /// through it.
     pub(crate) fn scan<'a>(
         &'a self,
         cand: Option<&'a [Rid]>,

@@ -612,6 +612,78 @@ fn analyze_statement_and_srf_report_row_counts() {
 }
 
 #[test]
+fn reentrant_select_takes_the_index_access_path() {
+    let db = indexed_db(2000);
+    // A raw-registered scalar: the planner cannot prove it stays out of
+    // the database, so each statement copies its candidate rows out.
+    db.register_scalar("opaque", |_db, args| Ok(args[0].clone()));
+    let text = |s: &str| Value::Text(s.into());
+    // (statement, EXPLAIN lines, rows, rows_scanned by one execution)
+    type Case = (&'static str, &'static [&'static str], Vec<Vec<Value>>, u64);
+    let cases: [Case; 3] = [
+        (
+            "SELECT k, v FROM t WHERE k = 7 AND opaque(v) = 'r7'",
+            &[
+                "IndexScan using t_k on t",
+                "  Index Cond: (k = 7)",
+                "  Filter: ((k = 7) AND (opaque(v) = 'r7'))",
+                "  Vectorized: false",
+            ],
+            vec![vec![Value::Int(7), text("r7")]],
+            1,
+        ),
+        (
+            "SELECT v, count(*) FROM t WHERE k < 5 AND opaque(k) >= 0 GROUP BY v",
+            &[
+                "Aggregate",
+                "  ->  IndexScan using t_k on t",
+                "        Index Cond: (k < 5)",
+                "        Filter: ((k < 5) AND (opaque(k) >= 0))",
+                "        Vectorized: false",
+            ],
+            (0..5)
+                .map(|k| vec![text(&format!("r{k}")), Value::Int(1)])
+                .collect(),
+            6,
+        ),
+        (
+            "SELECT k FROM t WHERE k >= 10 AND k < 20 ORDER BY opaque(k) DESC LIMIT 3",
+            &[
+                "IndexScan using t_k on t",
+                "  Index Cond: (k >= 10) AND (k < 20)",
+                "  Filter: ((k >= 10) AND (k < 20))",
+                "  Vectorized: false",
+            ],
+            vec![
+                vec![Value::Int(19)],
+                vec![Value::Int(18)],
+                vec![Value::Int(17)],
+            ],
+            11,
+        ),
+    ];
+    let counters = [
+        Stat::IndexScans,
+        Stat::ScanFallbacks,
+        Stat::SeqScans,
+        Stat::ScansZeroCopy,
+        Stat::RowsScanned,
+    ];
+    for (sql, plan, expected, scanned) in cases {
+        assert_eq!(plan_of(&db, sql), plan.join("\n"), "{sql}");
+        let before = counters.map(|s| db.stat(s));
+        let rows = db.execute(sql).unwrap().rows;
+        let after = counters.map(|s| db.stat(s));
+        let deltas: Vec<u64> = after.iter().zip(&before).map(|(a, b)| a - b).collect();
+        assert_eq!(deltas, [1, 1, 0, 0, scanned], "{sql}: {counters:?}");
+        assert_eq!(rows, expected, "{sql}");
+        db.set_index_access_enabled(false);
+        assert_eq!(db.execute(sql).unwrap().rows, rows, "{sql}: seq scan");
+        db.set_index_access_enabled(true);
+    }
+}
+
+#[test]
 fn stale_statistics_refresh_automatically() {
     let db = Database::new();
     db.execute("CREATE TABLE t (k int)").unwrap();

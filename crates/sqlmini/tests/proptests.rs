@@ -255,13 +255,14 @@ proptest! {
         }
     }
 
-    /// The zero-copy scan (under the table read guard) and the snapshot
+    /// The zero-copy scan (under the table read guard) and the copy-out
     /// fallback produce identical results for every SELECT shape —
-    /// WHERE, ORDER BY (asc/desc), DISTINCT, LIMIT in all combinations.
-    /// The fallback is forced by routing the predicate through a
-    /// re-entrant UDF (`opaque`), which the planner must classify as
-    /// unsafe to run under a guard; the scan-strategy counters verify
-    /// each statement actually took the intended path.
+    /// WHERE, ORDER BY (asc/desc), DISTINCT, LIMIT in all combinations,
+    /// over an index probe or a sequential scan. The fallback is forced
+    /// by routing the predicate through a re-entrant UDF (`opaque`),
+    /// which the planner must classify as unsafe to run under a guard;
+    /// the scan-strategy counters verify each statement actually took
+    /// the intended path, and that both took an access path.
     #[test]
     fn zero_copy_and_snapshot_scans_agree(
         rows in proptest::collection::vec((0i64..5, -100i64..100), 0..50),
@@ -273,18 +274,27 @@ proptest! {
         }),
         distinct in (0i64..2).prop_map(|b| b == 1),
         limit in (0u64..8).prop_map(|l| (l > 0).then_some(l)),
+        indexed in (0i64..2).prop_map(|b| b == 1),
+        lo in 0i64..6,
     ) {
         let db = Database::new();
         // A raw-registered scalar: the planner cannot prove it stays out
-        // of the database, so any statement using it must snapshot.
+        // of the database, so any statement using it must copy its rows.
         db.register_scalar("opaque", |_db, args| Ok(args[0].clone()));
         db.execute("CREATE TABLE t (k int, v int)").unwrap();
         let insert = db.prepare("INSERT INTO t VALUES ($1, $2)").unwrap();
         for (k, v) in &rows {
             insert.query(&[Value::Int(*k), Value::Int(*v)]).unwrap();
         }
+        let range = if indexed {
+            db.execute("CREATE INDEX t_k ON t (k)").unwrap();
+            db.execute("ANALYZE t").unwrap();
+            format!(" AND k >= {lo}")
+        } else {
+            String::new()
+        };
         let tail = format!(
-            "{order}{}",
+            "{range}{order}{}",
             limit.map(|l| format!(" LIMIT {l}")).unwrap_or_default()
         );
         let head = if distinct { "SELECT DISTINCT" } else { "SELECT" };
@@ -292,19 +302,28 @@ proptest! {
         // `k, v` always are.
         let zero_sql = format!("{head} k, v FROM t WHERE v > {threshold}{tail}");
         let snap_sql = format!("{head} k, v FROM t WHERE opaque(v) > {threshold}{tail}");
+        let access = || db.stat(Stat::IndexScans) + db.stat(Stat::SeqScans);
+        let a0 = access();
         let z0 = db.stat(Stat::ScansZeroCopy);
         let f0 = db.stat(Stat::ScanFallbacks);
         let zero = db.execute(&zero_sql).unwrap();
+        let a1 = access();
         let z1 = db.stat(Stat::ScansZeroCopy);
         let f1 = db.stat(Stat::ScanFallbacks);
         prop_assert_eq!(z1, z0 + 1, "safe scan must run zero-copy");
         let snap = db.execute(&snap_sql).unwrap();
+        let a2 = access();
         let z2 = db.stat(Stat::ScansZeroCopy);
         let f2 = db.stat(Stat::ScanFallbacks);
         prop_assert_eq!(f2, f1 + 1, "re-entrant predicate must snapshot");
         prop_assert_eq!(z2, z1, "re-entrant predicate must not run zero-copy");
         prop_assert_eq!(&zero.rows, &snap.rows);
         prop_assert_eq!(f1, f0, "safe scan must not snapshot");
+        prop_assert_eq!(
+            (a1 - a0, a2 - a1),
+            (1, 1),
+            "each statement takes one index or sequential access path"
+        );
         // The streamed cursor agrees with both.
         let streamed: Vec<Vec<Value>> = db
             .query_rows(&zero_sql, &[])
